@@ -300,24 +300,29 @@ def reduce_path(directory, strict: bool = False,
     ``use_cache`` the persistent per-directory cache is consulted first
     and refreshed afterwards — a complete, undamaged experiment is only
     ever reduced once until its contents change.
+
+    The result is always **detached** (no program image), whether it
+    came from the cache or a fresh pass: a cache hit never unpickles
+    ``program.pkl``, and callers attach one shared image via
+    :meth:`ReducedData.attach` when a report needs it.
     """
     path = Path(directory)
     if use_cache:
         cached = reduction_cache.load(path)
         if cached is not None:
-            return cached.attach(Program.load(path / "program.pkl"))
+            return cached
     experiment = Experiment.open_streaming(path, strict=strict)
     reduced = _Reducer(experiment).run()
     if use_cache:
         reduction_cache.store(path, reduced)
-    return reduced
+    return reduced.detach()
 
 
 def _reduce_path_task(task) -> ReducedData:
-    """Worker-process entry: reduce one directory, ship it back detached
-    (the parent re-attaches its own program image)."""
+    """Worker-process entry: reduce one directory (detached, so it ships
+    back cheaply and the parent attaches its own program image)."""
     directory, strict, use_cache = task
-    return reduce_path(directory, strict=strict, use_cache=use_cache).detach()
+    return reduce_path(directory, strict=strict, use_cache=use_cache)
 
 
 def reduce_experiments(experiments, parallelism: Optional[int] = None,
@@ -349,16 +354,14 @@ def reduce_experiments(experiments, parallelism: Optional[int] = None,
             [(path, strict, use_cache) for _index, path in path_tasks],
             parallelism=parallelism if parallelism is not None else 1,
         )
-        program: Optional[Program] = None
-        for loaded in reduced_by_index.values():
-            program = loaded.program
-            break
+        # every shard comes back detached: attach one image to all of them
+        program = next(
+            (loaded.program for loaded in reduced_by_index.values()), None
+        )
+        if program is None:
+            program = Program.load(Path(path_tasks[0][1]) / "program.pkl")
         for (index, _path), shard in zip(path_tasks, shards):
-            if program is None:
-                program = Program.load(Path(path_tasks[0][1]) / "program.pkl")
-            reduced_by_index[index] = (
-                shard.attach(program) if shard.program is None else shard
-            )
+            reduced_by_index[index] = shard.attach(program)
     return merge_reduced(reduced_by_index[index] for index in range(len(items)))
 
 

@@ -30,6 +30,8 @@ files with periodic flushes, and the program image plus a provisional
 partial but salvageable directory.  ``save()`` then *finalizes*: the
 metadata files are rewritten atomically (tmp + rename) and
 ``manifest.json`` is written last, sealing the directory with checksums.
+The program image is pickled once, up front; finalizing does not
+rewrite it.
 
 ``Experiment.open(strict=False)`` is the salvage path: it tolerates a
 missing manifest and missing optional files, skips malformed or
@@ -128,19 +130,33 @@ class HwcEvent:
     thread: int = 0
 
     def to_json(self) -> str:
-        """Serialize to one JSON line."""
-        record = asdict(self)
-        record["callstack"] = list(self.callstack)
+        """Serialize to one JSON line.
+
+        The record is built field by field in declaration order — the
+        order ``dataclasses.asdict`` gave older recordings — so journals
+        stay byte-identical without deep-copying every trap.  A new field
+        must be added here too (a test pins the emitted keys to
+        :func:`dataclasses.fields`).
+        """
+        record = {
+            "counter": self.counter, "event": self.event,
+            "weight": self.weight, "trap_pc": self.trap_pc,
+            "candidate_pc": self.candidate_pc,
+            "effective_address": self.effective_address,
+            "status": self.status, "ea_reason": self.ea_reason,
+            "cycle": self.cycle, "callstack": list(self.callstack),
+            "coalesced": self.coalesced,
+        }
         # keep journals byte-identical to pre-taxonomy recordings: the new
         # fields appear on the wire only when they carry information
-        if record["latency"] is None:
-            del record["latency"]
-        if record["scale"] == 1:
-            del record["scale"]
-        if record["core"] == 0:
-            del record["core"]
-        if record["thread"] == 0:
-            del record["thread"]
+        if self.latency is not None:
+            record["latency"] = self.latency
+        if self.scale != 1:
+            record["scale"] = self.scale
+        if self.core:
+            record["core"] = self.core
+        if self.thread:
+            record["thread"] = self.thread
         return json.dumps(record, separators=(",", ":"))
 
     @staticmethod
@@ -197,16 +213,23 @@ class TruthEvent:
     thread: int = 0
 
     def to_json(self) -> str:
-        """Serialize to one JSON line."""
-        record = asdict(self)
-        record["regs"] = list(self.regs)
+        """Serialize to one JSON line (field by field, as in
+        :meth:`HwcEvent.to_json`)."""
+        record = {
+            "seq": self.seq, "counter": self.counter, "event": self.event,
+            "trap_pc": self.trap_pc, "cycle": self.cycle,
+            "true_trigger_pc": self.true_trigger_pc,
+            "true_effective_address": self.true_effective_address,
+            "true_skid": self.true_skid, "coalesced": self.coalesced,
+            "regs": list(self.regs),
+        }
         # as in HwcEvent.to_json: absent unless it carries information
-        if record["true_latency"] is None:
-            del record["true_latency"]
-        if record["core"] == 0:
-            del record["core"]
-        if record["thread"] == 0:
-            del record["thread"]
+        if self.true_latency is not None:
+            record["true_latency"] = self.true_latency
+        if self.core:
+            record["core"] = self.core
+        if self.thread:
+            record["thread"] = self.thread
         return json.dumps(record, separators=(",", ":"))
 
     @staticmethod
@@ -566,6 +589,7 @@ class Experiment:
         try:
             self._write_events(path)
             self._write_metadata(path)
+            self._write_program(path)
             self._write_manifest(path)
         except BaseException:
             if created:
@@ -582,6 +606,8 @@ class Experiment:
         clock_file = path / "clock.jsonl"
         if not clock_file.exists():
             clock_file.touch()
+        # program.pkl was written by start_journal and the image does not
+        # change during a run: only the metadata is rewritten here
         self._write_metadata(path)
         self._write_manifest(path)
         return path
@@ -614,7 +640,6 @@ class Experiment:
         _atomic_write_text(
             path / "info.json", json.dumps(asdict(self.info), indent=2)
         )
-        self._write_program(path)
 
     def _write_events(self, path: Path) -> None:
         tmp = path / "clock.jsonl.tmp"

@@ -8,6 +8,7 @@ of the paper's ``a.out`` + DWARF sections.
 
 from __future__ import annotations
 
+import gc
 import pickle
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -134,9 +135,24 @@ class Program:
 
     @staticmethod
     def load(path) -> "Program":
-        """Read a saved image back from disk."""
+        """Read a saved image back from disk.
+
+        The cyclic collector is paused while the image unpickles.  An
+        image is thousands of new container objects, none of them
+        garbage, and every few hundred of them would otherwise start a
+        young collection.  Every erprint verb loads an image, so those
+        collections would bring on full ones (tens of ms each) in
+        whichever verb happened to be running.  Paused, a load costs one
+        young collection, just after it.
+        """
         with open(path, "rb") as stream:
-            program = pickle.load(stream)
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                program = pickle.load(stream)
+            finally:
+                if enabled:
+                    gc.enable()
         if not isinstance(program, Program):
             raise LinkError(f"{path} is not a Program image")
         return program

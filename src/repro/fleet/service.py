@@ -296,7 +296,7 @@ class FleetService:
             return reduce_path(
                 self.paths.incoming / entry / EXPERIMENT_DIR,
                 strict=False, use_cache=False,
-            ).detach()
+            )
 
         try:
             reduced = self._retry(_reduce, f"reducing {entry}")

@@ -1,9 +1,19 @@
 """Flat simulated memory arena with named segments.
 
-The arena is one contiguous block of 64-bit words (``array('q')``) starting
-at :data:`repro.config.ARENA_BASE`.  Segments (text, data, heap, stack) are
+The arena is one contiguous block of signed 64-bit words starting at
+:data:`repro.config.ARENA_BASE`.  Segments (text, data, heap, stack) are
 address ranges inside the arena; they carry a per-segment page size, which
 is how the ``-xpagesize_heap`` experiment reaches the DTLB.
+
+The words live in a private anonymous mapping viewed as a ``memoryview``
+of format ``'q'``.  The kernel maps zero pages only on first touch, so
+building a 64 MiB arena reserves address space instead of zero-filling
+64 MiB, and only the pages a run touches become resident; untouched
+words read 0.  The mapping must be ``MAP_PRIVATE``: worker processes are
+forked (``repro.parallel``), and under a shared mapping a child's stores
+would land in the parent's arena, where a private one copies on write.
+A ``memoryview`` rejects a value outside the signed 64-bit range with
+``ValueError``, so every store path wraps first (:func:`to_signed64`).
 
 Byte order within a word is little-endian (an implementation convenience;
 the paper's SPARC is big-endian but nothing in the reproduction depends on
@@ -12,7 +22,7 @@ byte order — all MCF data is 8-byte longs and pointers).
 
 from __future__ import annotations
 
-from array import array
+import mmap
 from dataclasses import dataclass
 
 from ..config import ARENA_BASE
@@ -58,7 +68,9 @@ class Memory:
             raise ReproError("arena size must be a multiple of 8")
         self.base = base
         self.size = arena_bytes
-        self.words = array("q", bytes(arena_bytes))
+        self.words = memoryview(
+            mmap.mmap(-1, arena_bytes, flags=mmap.MAP_PRIVATE)
+        ).cast("q")
         self.segments: list[Segment] = []
         # (base, end, segment) rows so segment_for scans plain ints
         self._ranges: list[tuple[int, int, Segment]] = []

@@ -17,10 +17,11 @@ import pytest
 
 from repro import build_executable, tiny_config
 from repro.analyze import cache as reduction_cache
-from repro.analyze.erprint import main as erprint_main
+from repro.analyze.erprint import main as erprint_main, run_command
 from repro.analyze.fsck import fsck_experiment
 from repro.analyze.reduce import reduce_experiments, reduce_path
 from repro.collect.collector import CollectConfig, collect
+from repro.compiler.program import Program
 
 SRC = """
 struct rec { long a; long b; long c; long d; };
@@ -111,6 +112,24 @@ class TestCacheHit:
         assert "line 0x" in first
         assert erprint_main([experiment_dir, "lines", "ecrm"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_warm_two_directory_reduce_loads_the_image_once(
+            self, experiment_dir, tmp_path, monkeypatch):
+        second = _collect_to(tmp_path / "ref",
+                             counters=("+ecref,53", "+dtlbm,11"))
+        dirs = [experiment_dir, second]
+        cold = run_command(reduce_experiments(dirs), "functions", [])
+        loads = []
+        original = Program.load
+
+        def counting_load(path):
+            loads.append(path)
+            return original(path)
+
+        monkeypatch.setattr(Program, "load", staticmethod(counting_load))
+        warm = run_command(reduce_experiments(dirs), "functions", [])
+        assert len(loads) == 1, f"warm reduce loaded {loads}"
+        assert warm == cold
 
 
 class TestInvalidation:

@@ -152,6 +152,46 @@ class TestPersistence:
         with pytest.raises(LinkError):
             Program.load(path)
 
+    def test_load_pauses_the_cyclic_collector(self, tmp_path, program):
+        import gc
+
+        path = tmp_path / "prog.pkl"
+        program.save(path)
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        threshold = gc.get_threshold()
+        gc.set_threshold(10)
+        gc.callbacks.append(record)
+        try:
+            Program.load(path)
+        finally:
+            gc.callbacks.remove(record)
+            gc.set_threshold(*threshold)
+        # unpaused, every 10 new objects of the image would start one
+        assert len(starts) <= 1
+        assert gc.isenabled()
+
+    def test_load_restores_the_collector_state(self, tmp_path, program):
+        import gc
+        import pickle
+
+        path = tmp_path / "prog.pkl"
+        program.save(path)
+        gc.disable()
+        try:
+            Program.load(path)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        path.write_bytes(b"not a pickle")
+        with pytest.raises(pickle.UnpicklingError):
+            Program.load(path)
+        assert gc.isenabled()
+
 
 class TestMultiModule:
     def test_two_user_modules_link(self):

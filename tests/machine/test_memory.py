@@ -1,9 +1,14 @@
 """Unit tests for the memory arena and segment map."""
 
+import os
+
 import pytest
 
+from repro import build_executable
+from repro.autotune.workloads import MACHINES
 from repro.config import ARENA_BASE
 from repro.errors import MemoryFault, ReproError
+from repro.kernel.process import Process
 from repro.machine.memory import Memory, to_signed64
 
 S64_MAX = (1 << 63) - 1
@@ -135,3 +140,65 @@ class TestSegments:
 def test_arena_size_must_be_multiple_of_8():
     with pytest.raises(ReproError):
         Memory(1 << 16 | 4)
+
+
+def _current_rss_bytes() -> int:
+    """Resident set size of this process right now (not its peak)."""
+    try:
+        with open("/proc/self/statm") as stream:
+            resident_pages = int(stream.read().split()[1])
+    except OSError:
+        pytest.skip("needs /proc/self/statm")
+    return resident_pages * os.sysconf("SC_PAGE_SIZE")
+
+
+class TestLazyArena:
+    """The arena is a private anonymous mapping: zero pages appear on
+    first touch, and a forked worker's stores stay in the worker."""
+
+    def test_untouched_words_read_zero(self, mem):
+        mem.store64(ARENA_BASE + 0x100, -1)
+        assert mem.load64(ARENA_BASE) == 0
+        assert mem.load8(ARENA_BASE + 0x108) == 0
+        assert mem.read_longs(ARENA_BASE + 0x108, 64) == [0] * 64
+        assert mem.load64(ARENA_BASE + (1 << 16) - 8) == 0
+
+    def test_fresh_arena_is_not_resident(self):
+        before = _current_rss_bytes()
+        arena = Memory(64 << 20)
+        grown = _current_rss_bytes() - before
+        assert arena.load64(ARENA_BASE + (32 << 20)) == 0
+        assert grown < 8 << 20, f"a fresh 64 MiB arena made {grown} B resident"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_store_is_invisible_to_parent(self, mem):
+        addr = ARENA_BASE + 0x40
+        mem.store64(addr, 7)
+        pid = os.fork()
+        if pid == 0:  # child: never return into the test runner
+            code = 1
+            try:
+                mem.store64(addr, 42)
+                mem.store64(addr + 0x1000, 43)
+                code = 0 if mem.load64(addr) == 42 else 2
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert mem.load64(addr) == 7
+        assert mem.load64(addr + 0x1000) == 0
+
+    def test_back_to_back_processes_stay_below_one_arena(self):
+        program = build_executable(
+            "long main(long *input, long n) { return n; }"
+        )
+        config = MACHINES["tight"]()
+        Process(program, config)  # warm imports and one-time caches
+        before = _current_rss_bytes()
+        for _ in range(8):
+            process = Process(program, config)
+        grown = _current_rss_bytes() - before
+        assert process.machine.memory.size == config.arena_bytes
+        assert grown < config.arena_bytes, (
+            f"8 back-to-back processes grew RSS by {grown} B"
+        )
