@@ -3,16 +3,15 @@
 Not a paper figure — these track the substrate's own performance so
 regressions in the interpreter or the backtracking hot paths are caught.
 
-The MCF speedup benchmark measures the full engine ladder (reference →
-fast → trace) on a warmed steady-state window and is gated against the
-committed baseline in ``BENCH_throughput.json``: the fast engine must
-stay >= 2x over the reference engine, the trace engine >= 1.25x over
-fast, and neither ratio may regress more than 10% below its committed
-value (ratios are used because absolute Mips depend on the host).  Set
-``REPRO_BENCH_WRITE=1`` to rewrite the baseline after an intentional
-change; set ``REPRO_BENCH_OUT=<path>`` to dump the fresh measurement
-including the trace tier's compilation stats (CI uploads it as an
-artifact and prints it in the job summary).
+The MCF speedup benchmark measures the engine ladder (reference → fast)
+on a warmed steady-state window and is gated against the committed
+baseline in ``BENCH_throughput.json``: the fast engine must stay >= 2x
+over the reference engine, and the ratio may not regress more than 10%
+below its committed value (a ratio is used because absolute Mips depend
+on the host).  Set ``REPRO_BENCH_WRITE=1`` to rewrite the baseline after
+an intentional change; set ``REPRO_BENCH_OUT=<path>`` to dump the fresh
+measurement (CI uploads it as an artifact and prints it in the job
+summary).
 """
 
 import json
@@ -129,13 +128,10 @@ def test_profiled_run_overhead(benchmark):
 def _mcf_run(engine: str, warmup: int = 1_000_000,
              budget: int = 2_000_000):
     """Steady-state interpreter throughput (million instructions per host
-    second) on the fixed-seed MCF workload, plus the process.
+    second) on the fixed-seed MCF workload.
 
     The first ``warmup`` instructions are excluded from the timed window
-    so the trace tier's one-time ``exec`` compilation cost (and every
-    engine's cold caches) don't dominate a 2M-instruction measurement;
-    cold-start behaviour is tracked separately by ``eager_leaders``/
-    ``deopt_cold`` in the published trace stats.
+    so cold caches don't dominate a 2M-instruction measurement.
     """
     from repro.mcf.instance import encode_instance, generate_instance
     from repro.mcf.sources import LayoutVariant
@@ -152,30 +148,23 @@ def _mcf_run(engine: str, warmup: int = 1_000_000,
     elapsed = time.perf_counter() - start
     executed = process.machine.cpu.instr_count - warmup
     assert executed == budget, f"run ended early at {executed + warmup}"
-    return executed / elapsed / 1e6, process
+    return executed / elapsed / 1e6
 
 
 def test_mcf_engine_speedup_vs_baseline():
-    """Engine ladder gate: fast >= 2x reference and trace >= 1.25x fast
-    (both measured on the same host back to back, so the ratios are
-    host-independent), with no >10% regression of either ratio against
-    the committed baseline.  The trace floor is deliberately below the
-    typical ~1.7x so CI noise doesn't flake the gate."""
-    reference_mips, _ = _mcf_run("reference")
-    fast_mips, _ = _mcf_run("fast")
-    trace_mips, trace_process = _mcf_run("trace")
+    """Engine ladder gate: fast >= 2x reference (both measured on the
+    same host back to back, so the ratio is host-independent), with no
+    >10% regression of the ratio against the committed baseline."""
+    reference_mips = _mcf_run("reference")
+    fast_mips = _mcf_run("fast")
     speedup = fast_mips / reference_mips
-    trace_speedup = trace_mips / fast_mips
 
     measurement = {
         "workload": "mcf trips=60 seed=7, 2M-instruction window "
                     "after 1M-instruction warmup",
         "fast_mips": round(fast_mips, 3),
         "reference_mips": round(reference_mips, 3),
-        "trace_mips": round(trace_mips, 3),
         "speedup": round(speedup, 3),
-        "trace_speedup": round(trace_speedup, 3),
-        "trace_stats": dict(trace_process.machine.cpu.trace_stats()),
     }
 
     out = os.environ.get("REPRO_BENCH_OUT")
@@ -192,10 +181,6 @@ def test_mcf_engine_speedup_vs_baseline():
         f"fast engine only {speedup:.2f}x over reference "
         f"({fast_mips:.2f} vs {reference_mips:.2f} Mips)"
     )
-    assert trace_speedup >= 1.25, (
-        f"trace engine only {trace_speedup:.2f}x over fast "
-        f"({trace_mips:.2f} vs {fast_mips:.2f} Mips)"
-    )
     if BENCH_FILE.exists():
         baseline = json.loads(BENCH_FILE.read_text())["baseline"]
         floor = 0.9 * baseline["speedup"]
@@ -203,20 +188,12 @@ def test_mcf_engine_speedup_vs_baseline():
             f"speedup regressed >10%: measured {speedup:.2f}x, committed "
             f"baseline {baseline['speedup']:.2f}x (floor {floor:.2f}x)"
         )
-        committed_trace = baseline.get("trace_speedup")
-        if committed_trace:
-            tfloor = 0.9 * committed_trace
-            assert trace_speedup >= tfloor, (
-                f"trace speedup regressed >10%: measured "
-                f"{trace_speedup:.2f}x, committed {committed_trace:.2f}x "
-                f"(floor {tfloor:.2f}x)"
-            )
 
 
 def test_engines_agree_on_architectural_state():
     """Cheap cross-check riding along with the benchmark: after the same
-    budget, all three engines sit at the same instruction count, cycles
-    and register file."""
+    budget, both engines sit at the same instruction count, cycles and
+    register file."""
     from repro.mcf.instance import encode_instance, generate_instance
     from repro.mcf.sources import LayoutVariant
     from repro.mcf.workload import build_mcf
@@ -224,7 +201,7 @@ def test_engines_agree_on_architectural_state():
     program = build_mcf(LayoutVariant.BASELINE)
     instance = generate_instance(trips=20, seed=7)
     states = []
-    for engine in ("fast", "trace", "reference"):
+    for engine in ("fast", "reference"):
         process = Process(program, scaled_config(),
                           input_longs=encode_instance(instance))
         process.machine.cpu.engine = engine
@@ -232,4 +209,4 @@ def test_engines_agree_on_architectural_state():
         cpu = process.machine.cpu
         states.append((cpu.instr_count, cpu.cycles, cpu.pc, cpu.npc,
                        tuple(cpu.regs)))
-    assert states[0] == states[1] == states[2]
+    assert states[0] == states[1]

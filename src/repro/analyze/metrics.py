@@ -30,7 +30,6 @@ METRICS: dict[str, MetricDef] = {
         MetricDef("system_cpu", "System CPU Time", True, "Sys CPU"),
         MetricDef("cycles", "Cycle Count", True, "Cycles"),
         MetricDef("insts", "Instructions Completed", False, "Insts"),
-        MetricDef("icm", "I$ Misses", False, "I$ Miss"),
         MetricDef("dcrm", "D$ Read Misses", False, "D$ RM"),
         MetricDef("dtlbm", "DTLB Misses", False, "DTLB Miss"),
         MetricDef("ecref", "E$ Refs", False, "E$ Refs"),
@@ -66,7 +65,6 @@ METRIC_ORDER = (
     "dcrm",
     "cycles",
     "insts",
-    "icm",
     "ldbytes",
     "stbytes",
     "br",

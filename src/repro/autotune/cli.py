@@ -53,9 +53,6 @@ def _add_exec_args(parser: argparse.ArgumentParser) -> None:
                              "(journal total; resume continues)")
     parser.add_argument("--jobs", type=int, default=2,
                         help="parallel collect jobs per trial (default: 2)")
-    parser.add_argument("--engine", default="fast",
-                        choices=["fast", "reference", "trace"],
-                        help="interpreter engine (default: fast)")
 
 
 def _options_from_args(args, base: SearchOptions = None) -> SearchOptions:
@@ -66,7 +63,6 @@ def _options_from_args(args, base: SearchOptions = None) -> SearchOptions:
     )
     options.budget = args.budget
     options.jobs = args.jobs
-    options.engine = args.engine
     return options
 
 

@@ -61,10 +61,9 @@ class SearchOptions:
     """Search-space and execution knobs.
 
     The first group defines the search (journaled in the meta record;
-    resume refuses a mismatch); ``budget``/``jobs``/``engine`` are
-    execution knobs that cannot change the result — the budget only
-    decides where the search pauses, and profiles are bit-identical
-    across engines and parallelism.
+    resume refuses a mismatch); ``budget``/``jobs`` are execution knobs
+    that cannot change the result — the budget only decides where the
+    search pauses, and profiles are bit-identical across parallelism.
     """
 
     #: minimum fractional cycle win for a candidate to be kept
@@ -83,8 +82,6 @@ class SearchOptions:
     budget: Optional[int] = None
     #: collect/reduce parallelism (passes per trial run concurrently)
     jobs: int = 2
-    #: interpreter engine for the profile passes
-    engine: str = "fast"
 
     def meta(self) -> dict:
         return {
@@ -201,7 +198,6 @@ class AutotuneSearch:
                 clock_profiling=False,
                 counters=list(counters),
                 name=f"autotune-t{trial_id:04d}-p{index}",
-                engine=self.options.engine,
             )
             for index, counters in enumerate(self.workload.counter_passes)
         ]

@@ -32,6 +32,7 @@ from ..errors import (
 )
 from ..faults import FaultPlan
 from ..machine.counters import EVENTS
+from ..machine.cpu import ENGINES
 from .collector import CollectConfig, collect
 from .schedule import plan_passes
 
@@ -140,12 +141,9 @@ def main(argv=None) -> int:
                              "write <stem>-p<i>.er)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for multi-pass runs")
-    parser.add_argument("--engine", default="fast",
-                        choices=["fast", "trace", "reference"],
+    parser.add_argument("--engine", default="fast", choices=ENGINES,
                         help="interpreter engine (profiles are identical; "
-                             "'trace' compiles hot superblocks and is the "
-                             "fastest, 'reference' is the slow cross-check "
-                             "oracle)")
+                             "'reference' is the slow cross-check oracle)")
     parser.add_argument("--workload", default="mcf",
                         choices=["mcf", "commercial"])
     parser.add_argument("--trips", type=int, default=150)
@@ -256,12 +254,6 @@ def main(argv=None) -> int:
     print(f"  {len(experiment.hwc_events)} HW counter events, "
           f"{len(experiment.clock_events)} clock ticks")
     print(f"  target exit code {experiment.info.exit_code}")
-    ts = experiment.info.trace_stats
-    if ts:
-        print(f"  trace engine: {ts.get('blocks_compiled', 0)} blocks, "
-              f"{ts.get('trace_retired', 0)} compiled / "
-              f"{ts.get('burst_retired', 0)} burst instructions, "
-              f"{ts.get('deopt_event', 0)} event deopts")
     return 0
 
 

@@ -29,6 +29,7 @@ from ..errors import CollectError, KernelError, MachineError
 from ..kernel.process import Process
 from ..kernel.signals import SIGEMT, SIGPROF
 from ..machine.counters import CounterSnapshot, CounterSpec
+from ..machine.cpu import ENGINES
 from .backtrack import apropos_backtrack
 from .experiment import ClockEvent, Experiment, HwcEvent, TruthEvent
 from .schedule import assign_registers
@@ -56,9 +57,9 @@ class CollectConfig:
     #: ``max_instructions`` budget
     watchdog_cycles: Optional[int] = None
     watchdog_instructions: Optional[int] = None
-    #: interpreter engine: "fast" (predecoded, batched countdown),
-    #: "trace" (superblock-compiled, fastest) or "reference"
-    #: (per-instruction oracle); profiles are bit-identical across all
+    #: interpreter engine, one of ``machine.cpu.ENGINES``: "fast"
+    #: (predecoded, batched countdown) or "reference" (per-instruction
+    #: oracle); profiles are bit-identical across them
     engine: str = "fast"
     #: time-multiplexed counter groups: when non-empty, ``counters`` must
     #: be empty and the run rotates these groups onto the PIC registers
@@ -116,10 +117,10 @@ class Collector:
         self.machine_config = machine_config
         self.config = collect_config
         self.fault_plan = fault_plan
-        if collect_config.engine not in ("fast", "trace", "reference"):
+        if collect_config.engine not in ENGINES:
             raise CollectError(
                 f"unknown engine {collect_config.engine!r} "
-                "(fast, trace or reference)"
+                f"({' or '.join(ENGINES)})"
             )
         self.process = Process(
             program,
@@ -342,7 +343,7 @@ class Collector:
         still in their skid window at a rotation boundary are dropped —
         real PICs lose in-flight events when reprogrammed too — and the
         drop count is journaled.  Deterministic on every engine: the
-        chunk boundaries are exact instruction counts, so fast/trace/
+        chunk boundaries are exact instruction counts, so fast and
         reference journals stay byte-identical.
         """
         process = self.process
@@ -402,9 +403,6 @@ class Collector:
             experiment.info.incomplete = False
             experiment.info.fault = ""
             experiment.log(f"collect: target exited with {exit_code}")
-
-        if self.config.engine == "trace":
-            experiment.info.trace_stats = dict(machine.cpu.trace_stats())
 
         stats = machine.stats()
         experiment.info.instructions = stats.instructions

@@ -311,9 +311,6 @@ class ExperimentInfo:
     incomplete: bool = False
     #: what ended an incomplete run, e.g. "SimulatedCrash: ..."
     fault: str = ""
-    #: trace-engine compilation/dispatch counters (empty unless the run
-    #: used ``engine="trace"``); diagnostic only, never part of the profile
-    trace_stats: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------- salvage

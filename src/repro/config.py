@@ -114,50 +114,6 @@ class MachineConfig:
         return replace(self, dtlb=replace(self.dtlb))  # page size is per-segment
 
 
-@dataclass(frozen=True)
-class TraceEngineConfig:
-    """Tuning knobs for the ``engine="trace"`` tier (see DESIGN.md §11).
-
-    These only affect *how much* code gets compiled into superblocks and
-    how the interpreter falls back — never what the simulation observes;
-    any setting (including ``hot_threshold=2**30``, which disables
-    compilation of computed-jump targets entirely) produces bit-identical
-    journals.
-    """
-
-    #: dynamic entries at a leader before it is compiled; 32 keeps the
-    #: exec() cost off everything but genuinely hot code (measured best
-    #: on the MCF cold-start gate, where compile time counts)
-    hot_threshold: int = 32
-    #: superblock growth stops after this many instructions; short blocks
-    #: compile fast and the in-block loop recompile makes long spans
-    #: unnecessary for hot self-loops
-    max_block_instructions: int = 32
-    #: spans shorter than this are left to the burst interpreter
-    min_block_instructions: int = 2
-    #: instructions the deopt burst interpreter runs per table re-entry
-    burst_instructions: int = 16
-    #: cap on eagerly compiled static leaders (0 = fully lazy, measured
-    #: fastest: eager compilation front-loads exec() cost for blocks the
-    #: run may never reach)
-    max_eager_blocks: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_block_instructions < 2:
-            raise ReproError("trace blocks need room for at least 2 instructions")
-        if self.min_block_instructions < 1:
-            raise ReproError("min_block_instructions must be >= 1")
-        if self.burst_instructions < 1:
-            raise ReproError("burst_instructions must be >= 1")
-        if self.hot_threshold < 1:
-            raise ReproError("hot_threshold must be >= 1")
-
-
-#: default trace-tier tuning; the CPU uses this unless a test overrides
-#: ``cpu.trace_config``
-TRACE_DEFAULTS = TraceEngineConfig()
-
-
 def paper_config() -> MachineConfig:
     """The UltraSPARC-III Cu geometry from the paper's §3.1."""
     return MachineConfig(
@@ -252,8 +208,6 @@ __all__ = [
     "CacheConfig",
     "TLBConfig",
     "MachineConfig",
-    "TraceEngineConfig",
-    "TRACE_DEFAULTS",
     "paper_config",
     "scaled_config",
     "tiny_config",

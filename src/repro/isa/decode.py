@@ -29,8 +29,8 @@ The lowering is purely mechanical — operand values, delay-slot behaviour
 and fault semantics are untouched, which is what keeps the fast
 interpreter's observable profiles bit-identical to the seed interpreter's.
 
-Invariants every consumer of the table relies on (the fast interpreter,
-the trace compiler in :mod:`repro.machine.cpu_trace`, and tests):
+Invariants every consumer of the table relies on (the fast interpreter
+and tests):
 
 * rows ``0 .. len(code)-1`` are index-aligned with ``code`` — row ``r``
   models the instruction at ``text_base + 4*r``;
@@ -42,15 +42,7 @@ the trace compiler in :mod:`repro.machine.cpu_trace`, and tests):
 * branch/call targets in rows are *table indices*, never addresses; only
   ``K_JMPL`` computes a target at run time (the CPU redirects
   unrepresentable computed targets to the sentinel and stashes the real
-  address in ``bad_pc``);
-* every kind ``<= SIMPLE_KIND_MAX`` is straight-line: it cannot transfer
-  control, and after it retires the next row is ``row + 1``.  This is the
-  property block discovery (below) is built on.
-
-This module also owns *block discovery* for the trace engine: finding the
-rows where straight-line runs (superblocks) can begin and how far they
-extend.  Discovery is pure table analysis — compilation and the deopt
-machinery live in :mod:`repro.machine.cpu_trace`.
+  address in ``bad_pc``).
 """
 
 from __future__ import annotations
@@ -92,11 +84,6 @@ K_HALT = 50
 #: jump sentinel; control transfers whose target cannot be a valid text
 #: index get a dedicated ``(K_BAD, target)`` row appended after it.
 K_BAD = 51
-
-#: every kind <= this retires straight-line (no control transfer, next
-#: row is always ``row + 1``); the unused gaps (15, 38, 39) are never
-#: emitted by :func:`predecode`, so the inclusive bound is safe.
-SIMPLE_KIND_MAX = K_SMODX_R
 
 _MEM_KINDS = {
     Op.LDX: K_LDX_I,
@@ -228,74 +215,6 @@ def predecode(code: list[Instr], text_base: int) -> list[tuple]:
     return decoded
 
 
-# --------------------------------------------------------------- discovery
-#
-# The trace engine compiles superblocks that *begin* at rows control can
-# actually reach by a transfer (everything else is reached sequentially
-# and therefore retired inside some block that started earlier).  These
-# helpers are pure functions of the predecoded table so they can be unit
-# tested without a CPU.
-
-def is_simple_kind(kind: int) -> bool:
-    """True for kinds that retire straight-line (``next row == row + 1``)."""
-    return kind <= SIMPLE_KIND_MAX
-
-
-def static_block_leaders(decoded: list[tuple], ncode: int,
-                         entry_row: int = 0) -> list[int]:
-    """Rows where a straight-line run can begin, from static analysis alone.
-
-    Includes the entry row, every static branch/call target, the
-    fall-through successor of every conditional branch, the return site
-    of every call (``call_row + 2`` — where a RET's computed jump lands),
-    and the resumption row after every trap instruction.  Computed-jump
-    (``JMPL``) targets that are not also static targets cannot be known
-    here; the trace engine discovers those dynamically by hot-count.
-
-    Only rows inside text (``0 <= row < ncode``) are leaders: the K_BAD
-    sentinel and fault rows terminate blocks, they never start one.
-    """
-    leaders = set()
-    if 0 <= entry_row < ncode:
-        leaders.add(entry_row)
-    for row in range(ncode):
-        k = decoded[row][0]
-        if K_BA <= k <= K_CALL:  # static target (branches and CALL)
-            t = decoded[row][1]
-            if 0 <= t < ncode:
-                leaders.add(t)
-            if k != K_BA:  # conditional fall-through / call return site
-                succ = row + 2
-                if succ < ncode:
-                    leaders.add(succ)
-        elif k == K_TA and row + 1 < ncode:
-            leaders.add(row + 1)
-    return sorted(leaders)
-
-
-def basic_block_span(decoded: list[tuple], start: int,
-                     max_len: int = 1 << 30) -> int:
-    """Length of the simple straight-line run beginning at ``start``.
-
-    Counts consecutive rows with simple kinds; stops (exclusive) at the
-    first control transfer, trap, HALT or K_BAD row, or after ``max_len``
-    rows.  This is the *basic-block* span — the trace compiler extends it
-    across branches into superblocks, but tests and stats use this
-    conservative core measure.
-    """
-    n = 0
-    limit = len(decoded)
-    while n < max_len and start + n < limit:
-        if not is_simple_kind(decoded[start + n][0]):
-            break
-        n += 1
-    return n
-
-
 __all__ = [name for name in globals() if name.startswith("K_")] + [
     "predecode",
-    "SIMPLE_KIND_MAX",
-    "is_simple_kind",
-    "static_block_leaders",
-    "basic_block_span",
 ]

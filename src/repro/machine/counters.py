@@ -19,6 +19,10 @@ counters (``ldbytes``/``stbytes``, FETCH_SIZE/WRITE_SIZE-style), branch
 and branch-miss counters (``br``/``brm``, BTFN prediction model) and an
 ARM-SPE-style sampled load latency (``ldlat``) whose precise trap also
 carries the sampled load's latency in cycles.
+
+The menu lists only events the machine can raise.  No instruction cache
+is modelled, so the US-III's I$-miss counter (``icm``) is absent, and a
+request for it fails like any unknown counter name.
 """
 
 from __future__ import annotations
@@ -67,7 +71,6 @@ EVENTS: dict[str, EventSpec] = {
     for spec in (
         EventSpec("cycles", "Cycle count", True, (0, 1), 1, 4, None),
         EventSpec("insts", "Instructions completed", False, (0, 1), 1, 4, None),
-        EventSpec("icm", "I$ misses", False, (1,), 1, 4, None),
         # The long-stall events (D$/E$ read misses, E$ stall) deliver their
         # trap while the triggering load is still stalling the pipeline, so
         # at most one further instruction completes — this is why the paper
@@ -103,11 +106,6 @@ EVENTS: dict[str, EventSpec] = {
                   False, (1,), 0, 1, "loadstore", 0.85),
     )
 }
-
-#: events beyond the paper's US-III menu.  The trace/superblock tier does
-#: not inline them; watching one deopts a trace-engine run to the fast
-#: interpreter loop (journals are byte-identical across engines anyway).
-EXTENDED_EVENTS = frozenset({"ldbytes", "stbytes", "br", "brm", "ldlat", "cohm"})
 
 #: named overflow intervals (prime, per paper §2.2, "to reduce the
 #: probability of correlations").  These are simulation-scale: a scaled MCF
@@ -327,7 +325,6 @@ class CounterUnit:
 __all__ = [
     "EventSpec",
     "EVENTS",
-    "EXTENDED_EVENTS",
     "overflow_interval",
     "CounterSpec",
     "CounterSnapshot",

@@ -12,7 +12,8 @@ The interpreter models what the paper's technique depends on:
 * **cycle penalties** for D$ misses, E$ misses and DTLB misses, with E$
   read-miss penalties accumulated on the ``ecstall`` event.
 
-Three execution engines share this model (DESIGN.md §11):
+Two execution engines share this model (DESIGN.md §11); ``ENGINES``
+names them:
 
 * ``engine="fast"`` (default) runs the predecoded dispatch table from
   :mod:`repro.isa.decode` with a **batched overflow countdown**: instead
@@ -27,13 +28,6 @@ Three execution engines share this model (DESIGN.md §11):
   very instruction.  The checkpoint then performs the bookkeeping in the
   exact order the per-instruction loop used, which keeps RNG draws, trap
   timing and therefore whole profiles bit-identical (see DESIGN.md).
-* ``engine="trace"`` (:mod:`repro.machine.cpu_trace`) keeps the fast
-  engine's countdown/checkpoint skeleton but retires straight-line runs
-  of the table through exec-compiled superblock closures, deoptimizing
-  back to a bounded per-instruction burst whenever a deadline could land
-  mid-block or control leaves compiled code.  Checkpoints happen at the
-  *same retired-instruction counts* as the fast engine, so its journals
-  are byte-identical too.
 * ``engine="reference"`` (:mod:`repro.machine.cpu_reference`) keeps the
   seed-style per-instruction loop — the cross-check oracle for golden
   profile tests and the baseline for throughput benchmarks.
@@ -70,7 +64,6 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional
 
-from ..config import TRACE_DEFAULTS
 from ..errors import (
     DivisionByZero,
     IllegalInstruction,
@@ -84,7 +77,7 @@ from ..isa.decode import predecode
 from ..isa.instructions import Instr
 from ..isa.registers import NUM_REGS, REG_RA
 from .cache import Cache
-from .counters import EXTENDED_EVENTS, CounterSnapshot, CounterUnit
+from .counters import CounterSnapshot, CounterUnit
 from .memory import Memory
 from .tlb import TLB
 
@@ -96,6 +89,10 @@ _BIG = 1 << 62
 
 #: cycles charged for a kernel service trap (the paper's tiny System CPU time)
 TRAP_CYCLES = 40
+
+#: the interpreter loops ``CPU.engine`` selects between; journals are
+#: byte-identical across them
+ENGINES = ("fast", "reference")
 
 
 class CpuExit(MachineError):
@@ -137,13 +134,8 @@ class CPU:
         self.halted = False
         self.exit_code = 0
 
-        #: which interpreter loop `run` uses: "fast", "trace" or "reference"
+        #: which interpreter loop `run` uses (one of ``ENGINES``)
         self.engine = "fast"
-
-        #: tuning for the trace/superblock tier (engine="trace")
-        self.trace_config = TRACE_DEFAULTS
-        #: compiled-trace program cache (cpu_trace.TraceProgram or None)
-        self._trace_cache = None
 
         #: call-site PCs, innermost last (shadow stack for profiling unwinds)
         self.callstack: list[int] = []
@@ -260,25 +252,7 @@ class CPU:
             self._decoded_src = code
             self._decoded_base = self.text_base
             self._decoded_ncode = len(code)
-            # compiled traces bake rows from the old table; drop them
-            self._trace_cache = None
         return dec
-
-    def invalidate_traces(self) -> None:
-        """Discard compiled superblocks (self-modifying/replaced code).
-
-        The trace cache also self-invalidates when the dispatch table,
-        machine bindings or watched counter set change; this hook is for
-        callers that mutate ``code`` *in place* (the table identity check
-        cannot see that).
-        """
-        self._trace_cache = None
-
-    def trace_stats(self) -> dict:
-        """Observability counters from the trace tier (empty dict until
-        an ``engine="trace"`` run has happened)."""
-        prog = self._trace_cache
-        return dict(prog.stats) if prog is not None else {}
 
     # ------------------------------------------------------------- main loop
 
@@ -300,21 +274,6 @@ class CPU:
             return run_reference(
                 self, max_instructions, max_cycles, watchdog_instructions
             )
-        if (
-            self.engine == "trace"
-            and self.coherence is None
-            and EXTENDED_EVENTS.isdisjoint(self.counters.watching)
-        ):
-            from .cpu_trace import run_trace
-
-            return run_trace(
-                self, max_instructions, max_cycles, watchdog_instructions
-            )
-        # engine == "fast", or engine == "trace" watching an extended-
-        # taxonomy event (branch/bandwidth/latency counters) or running
-        # on a multi-core machine (compiled superblocks do not carry the
-        # coherence hooks): the trace tier deopts to the fast loop below
-        # — journals are byte-identical across engines either way.
 
         # Bind everything hot to locals.
         regs = self.regs
@@ -1285,4 +1244,4 @@ class CPU:
         return instr_count - start_count
 
 
-__all__ = ["CPU", "CpuExit", "TRAP_CYCLES"]
+__all__ = ["CPU", "CpuExit", "ENGINES", "TRAP_CYCLES"]

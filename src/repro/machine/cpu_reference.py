@@ -3,17 +3,16 @@
 This is the interpreter the repository started with — one big ``if/elif``
 chain over :class:`Op`, two ``counters.record()`` calls and a pending-trap
 walk on every retired instruction.  It is deliberately *not* optimized:
-it defines the semantics of record for the whole engine ladder
-(DESIGN.md §11).  Every other engine — the predecoded batched-countdown
-``fast`` loop and the ``trace`` superblock compiler — is measured
+it defines the semantics of record (DESIGN.md §11).  The predecoded
+batched-countdown ``fast`` loop in :mod:`repro.machine.cpu` is measured
 against it:
 
 * golden-profile and differential-fuzz tests run the same program under
-  this loop and each optimized engine (``CPU.engine = "fast" | "trace"``)
-  and require bit-identical experiment journals;
+  this loop and the fast one (``CPU.engine = "fast"``) and require
+  bit-identical experiment journals;
 * the throughput benchmark uses it as the "seed interpreter" baseline;
-* when adding an instruction, implement it here first — the optimized
-  engines must reproduce whatever this loop does, observable action for
+* when adding an instruction, implement it here first — the fast engine
+  must reproduce whatever this loop does, observable action for
   observable action.
 
 It carries the same semantic fixes as the fast engine (they are part of

