@@ -247,7 +247,19 @@ class Collector:
     # ------------------------------------------------------------------ run
 
     def run(self) -> Experiment:
-        """Execute the pass over the whole unit and return the result."""
+        """Execute the pass over the whole unit and return the result.
+
+        However the run ends, the process is closed on the way out: a
+        finished collect leaves only its experiment behind, and the
+        process, machine and arena are freed as soon as the caller drops
+        the collector (no full garbage collection needed).
+        """
+        try:
+            return self._run()
+        finally:
+            self.process.close()
+
+    def _run(self) -> Experiment:
         experiment = self.experiment
         machine = self.process.machine
         experiment.log(f"collect: starting run of {self.program.entry:#x}")

@@ -88,6 +88,11 @@ def _count_lines(path: Path) -> int:
     return count
 
 
+#: compact journal-line encoder, built once: ``json.dumps`` with non-default
+#: separators constructs a fresh ``JSONEncoder`` on every call
+_encode_line = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _normalize_dir(directory) -> Path:
     path = Path(directory)
     if path.suffix != ".er":
@@ -157,7 +162,7 @@ class HwcEvent:
             record["core"] = self.core
         if self.thread:
             record["thread"] = self.thread
-        return json.dumps(record, separators=(",", ":"))
+        return _encode_line(record)
 
     @staticmethod
     def from_json(line: str, source: str = "", lineno: int = 0) -> "HwcEvent":
@@ -230,7 +235,7 @@ class TruthEvent:
             record["core"] = self.core
         if self.thread:
             record["thread"] = self.thread
-        return json.dumps(record, separators=(",", ":"))
+        return _encode_line(record)
 
     @staticmethod
     def from_json(line: str, source: str = "", lineno: int = 0) -> "TruthEvent":
@@ -267,7 +272,7 @@ class ClockEvent:
             record["core"] = self.core
         if self.thread:
             record["thread"] = self.thread
-        return json.dumps(record, separators=(",", ":"))
+        return _encode_line(record)
 
     @staticmethod
     def from_json(line: str, source: str = "", lineno: int = 0) -> "ClockEvent":
@@ -374,6 +379,8 @@ class Experiment:
         self.info = ExperimentInfo()
         self.hwc_events: list[HwcEvent] = []
         self.clock_events: list[ClockEvent] = []
+        #: truth rows of an in-memory experiment; a journaled one keeps
+        #: them only in ``truth.jsonl`` (read them via iter_truth_events)
         self.truth_events: list[TruthEvent] = []
         self.log_lines: list[str] = []
         #: set by ``open(strict=False)``; None for in-memory experiments
@@ -382,6 +389,8 @@ class Experiment:
         self._journal_dir: Optional[Path] = None
         self._streams: dict[str, object] = {}
         self._unflushed = 0
+        #: a journaled run's truth.jsonl; outlives detached()
+        self._truth_file: Optional[Path] = None
         # streaming-read state (events left on disk by open_streaming)
         self._stream_dir: Optional[Path] = None
         self._stream_strict = False
@@ -429,10 +438,15 @@ class Experiment:
             self._journal_write("clock.jsonl", event.to_json())
 
     def record_truth(self, event: TruthEvent) -> None:
-        """Record one ground-truth row into the oracle side channel."""
-        self.truth_events.append(event)
+        """Record one ground-truth row into the oracle side channel.
+
+        No report reads truth rows, so a journaled experiment writes them
+        to ``truth.jsonl`` only and keeps none in memory.
+        """
         if self._journal_dir is not None:
             self._journal_write("truth.jsonl", event.to_json())
+        else:
+            self.truth_events.append(event)
 
     # ---------------------------------------------------- event iteration
 
@@ -467,17 +481,28 @@ class Experiment:
             )
 
     def iter_truth_events(self):
-        """Ground-truth rows, in recorded order.  Streams from disk for
-        :meth:`open_streaming` experiments; yields nothing when the
-        experiment predates the truth side channel."""
-        if self._stream_dir is None:
+        """Ground-truth rows, in recorded order.
+
+        The one accessor for truth rows: it streams them from disk for
+        :meth:`open_streaming` experiments and from the run's own
+        ``truth.jsonl`` for journaled ones (strictly: damage raises
+        :class:`ExperimentCorrupt`).  Yields nothing when the experiment
+        predates the truth side channel.
+        """
+        if self._stream_dir is not None:
+            truth_file = self._stream_dir / "truth.jsonl"
+            strict, salvage = self._stream_strict, self.salvage
+        elif self._truth_file is not None:
+            truth_file, strict, salvage = self._truth_file, True, SalvageReport()
+            stream = self._streams.get(truth_file.name)
+            if stream is not None:
+                stream.flush()
+        else:
             yield from self.truth_events
             return
-        truth_file = self._stream_dir / "truth.jsonl"
         if truth_file.exists():
             yield from Experiment._iter_jsonl(
-                truth_file, TruthEvent.from_json, self._stream_strict,
-                self.salvage,
+                truth_file, TruthEvent.from_json, strict, salvage
             )
 
     # ------------------------------------------------------------- journal
@@ -502,6 +527,7 @@ class Experiment:
             elif stale.name == MANIFEST_NAME or stale.suffix in (".jsonl", ".tmp"):
                 stale.unlink()
         self._journal_dir = path
+        self._truth_file = path / "truth.jsonl"
         self._write_program(path)
         provisional = asdict(self.info)
         provisional["incomplete"] = True
@@ -516,6 +542,7 @@ class Experiment:
             self._journal_write(f"hwc{hwc_event.counter}.jsonl", hwc_event.to_json())
         for truth_event in self.truth_events:
             self._journal_write("truth.jsonl", truth_event.to_json())
+        self.truth_events = []
         return path
 
     @property
@@ -552,6 +579,8 @@ class Experiment:
         Open file streams and the (potentially large) program image do not
         survive pickling; a worker process calls this before returning an
         experiment to the parent, which re-attaches the shared program.
+        A journaled experiment's truth rows stay readable from its
+        ``truth.jsonl``.
         """
         self._close_journal_streams()
         self._journal_dir = None
@@ -652,11 +681,12 @@ class Experiment:
                     if event.counter == counter:
                         stream.write(event.to_json() + "\n")
             os.replace(tmp, path / f"hwc{counter}.jsonl")
-        if self.truth_events:
+        truth_lines = [event.to_json() + "\n"
+                       for event in self.iter_truth_events()]
+        if truth_lines:
             tmp = path / "truth.jsonl.tmp"
             with open(tmp, "w") as stream:
-                for truth_event in self.truth_events:
-                    stream.write(truth_event.to_json() + "\n")
+                stream.writelines(truth_lines)
             os.replace(tmp, path / "truth.jsonl")
 
     def _write_manifest(self, path: Path) -> None:

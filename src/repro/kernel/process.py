@@ -46,7 +46,7 @@ from ..errors import KernelError, MemoryFault
 from ..machine.cpu import CPU
 from ..machine.machine import Machine
 from .loader import LoadedImage, load_program
-from .signals import SignalDispatcher
+from .signals import SIGEMT, SIGPROF, SignalDispatcher
 
 _S64_MAX = (1 << 63) - 1
 _S64_MIN = -(1 << 63)
@@ -292,6 +292,21 @@ class Process:
     def stdout(self) -> str:
         """Everything the program printed so far."""
         return "".join(self.stdout_parts)
+
+    def close(self) -> None:
+        """Break the process's reference cycles once it has stopped.
+
+        Every core's CPU points back at this process (``kernel_service``)
+        and at the dispatcher (the SIGEMT/SIGPROF hooks), and the
+        dispatcher's handlers point at whoever registered them; until
+        those links go, the process, its machine and its arena outlive
+        the run until a full garbage collection.  Results stay readable
+        (``stdout``, ``allocations``, ``machine.stats()``).
+        """
+        self.signals.unregister(SIGEMT)
+        self.signals.unregister(SIGPROF)
+        for core in self.machine.cores:
+            core.cpu.kernel_service = None
 
     # ------------------------------------------------------------- services
 

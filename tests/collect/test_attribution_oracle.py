@@ -37,7 +37,7 @@ from repro.analyze.oracle import (
 )
 from repro.collect.collector import CollectConfig, collect
 from repro.faults import FaultPlan
-from repro.lang.fuzz import INPUT_LEN, generate_source
+from tests.fuzz import INPUT_LEN, generate_source
 
 SRC = """
 struct rec { long a; long b; long c; long d; };

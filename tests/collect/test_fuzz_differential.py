@@ -1,6 +1,6 @@
 """Differential fuzzing: random programs, every engine, identical journals.
 
-The generator (:mod:`repro.lang.fuzz`) emits seeded random mini-C
+The generator (:mod:`tests.fuzz`) emits seeded random mini-C
 programs that are valid and terminating by construction.  Each one is
 compiled once and collected under both interpreter engines; the
 experiment journals must match byte for byte — predecoding, batched
@@ -21,7 +21,7 @@ import pytest
 
 from repro import build_executable, tiny_config
 from repro.collect.collector import CollectConfig, collect
-from repro.lang.fuzz import (
+from tests.fuzz import (
     INPUT_LEN,
     generate_source,
     generate_threaded_source,

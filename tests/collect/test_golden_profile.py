@@ -6,15 +6,30 @@ This is the contract the fast engine lives under: batched countdown,
 predecoded dispatch and the MRU fast paths may change *how fast* the
 simulation runs, never *what it observes* — same RNG draw order, same
 skid landing sites, same trap delivery cycles, same journal bytes.
+
+The scaled-machine arms journal no ``ecrm`` or ``dtlbm`` events; the
+``tight``-machine arms run a larger instance where every requested
+counter journals events, so the comparison covers all four.
 """
+
+import json
+from collections import Counter
 
 import pytest
 
+from repro.autotune.workloads import MACHINES
 from repro.collect.collector import CollectConfig, collect
 from repro.config import scaled_config
 from repro.mcf.instance import encode_instance, generate_instance
 from repro.mcf.sources import LayoutVariant
 from repro.mcf.workload import build_mcf
+
+
+#: the paper's §3.1 pass pair
+PASS_PAIR = [
+    (["+ecstall,97", "+ecrm,29"], True, "stall"),
+    (["+ecref,53", "+dtlbm,11"], False, "ref"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -23,12 +38,19 @@ def workload():
     return build_mcf(LayoutVariant.BASELINE), encode_instance(instance)
 
 
-def _journal_bytes(tmp_path, workload, engine, counters, clock, tag):
+@pytest.fixture(scope="module")
+def tight_workload():
+    instance = generate_instance(trips=30, seed=9)
+    return build_mcf(LayoutVariant.BASELINE), encode_instance(instance)
+
+
+def _journal_bytes(tmp_path, workload, engine, counters, clock, tag,
+                   machine=None):
     program, input_longs = workload
     outdir = tmp_path / f"{tag}-{engine}"
     collect(
         program,
-        scaled_config(),
+        machine or scaled_config(),
         CollectConfig(
             clock_profiling=clock,
             clock_interval=499,
@@ -45,13 +67,7 @@ def _journal_bytes(tmp_path, workload, engine, counters, clock, tag):
     return {p.name: p.read_bytes() for p in files}
 
 
-@pytest.mark.parametrize(
-    "counters,clock,tag",
-    [
-        (["+ecstall,97", "+ecrm,29"], True, "stall"),
-        (["+ecref,53", "+dtlbm,11"], False, "ref"),
-    ],
-)
+@pytest.mark.parametrize("counters,clock,tag", PASS_PAIR)
 def test_fast_engine_journal_is_byte_identical(tmp_path, workload,
                                                counters, clock, tag):
     fast = _journal_bytes(tmp_path, workload, "fast", counters, clock, tag)
@@ -59,6 +75,27 @@ def test_fast_engine_journal_is_byte_identical(tmp_path, workload,
     assert fast.keys() == ref.keys()
     for name in fast:
         assert fast[name] == ref[name], f"{name} diverged between engines"
+
+
+@pytest.mark.parametrize("counters,clock,tag", PASS_PAIR)
+def test_fast_engine_journal_is_byte_identical_on_tight_machine(
+        tmp_path, tight_workload, counters, clock, tag):
+    machine = MACHINES["tight"]()
+    fast = _journal_bytes(tmp_path, tight_workload, "fast", counters, clock,
+                          tag, machine)
+    ref = _journal_bytes(tmp_path, tight_workload, "reference", counters,
+                         clock, tag, machine)
+    assert fast.keys() == ref.keys()
+    for name in fast:
+        assert fast[name] == ref[name], f"{name} diverged between engines"
+    fired = Counter(
+        json.loads(line)["event"]
+        for name, body in fast.items() if name.startswith("hwc")
+        for line in body.splitlines()
+    )
+    for request in counters:
+        event = request.lstrip("+").split(",")[0]
+        assert fired[event] > 0, f"{event} journaled no events"
 
 
 @pytest.mark.parametrize("cores", [2, 4])

@@ -120,6 +120,22 @@ class TestProcess:
         assert p1.run(max_instructions=100_000) == 1
         assert p2.run(max_instructions=100_000) == 2
 
+    def test_close_unhooks_every_core_and_keeps_results(self):
+        from repro.kernel.signals import SIGEMT, SIGPROF
+
+        program = build_executable(HELLO)
+        process = Process(program, tiny_config(), input_longs=[1, 2])
+        process.signals.register(SIGEMT, lambda snapshot: None)
+        process.signals.register(SIGPROF, lambda pc, cycle, stack: None)
+        assert process.run(max_instructions=100_000) == 2
+        process.close()
+        for core in process.machine.cores:
+            assert core.cpu.kernel_service is None
+            assert core.cpu.overflow_handler is None
+            assert core.cpu.clock_handler is None
+        assert process.stdout == "ok"
+        assert process.machine.stats().instructions > 0
+
 
 class TestSignals:
     def test_dispatcher_counts_deliveries(self):

@@ -15,9 +15,9 @@ from repro.errors import (
 from repro.isa.instructions import Instr, Op
 from repro.isa.registers import REG_RA, reg_number
 from repro.kernel.process import Process
-from repro.lang.fuzz import INPUT_LEN, generate_source
 from repro.machine.counters import CounterSpec
 from repro.machine.machine import Machine
+from tests.fuzz import INPUT_LEN, generate_source
 
 O0 = reg_number("%o0")
 O1 = reg_number("%o1")
