@@ -36,12 +36,8 @@ import shutil
 from pathlib import Path
 from typing import Optional
 
-from ..collect.experiment import (
-    CACHE_DIR_NAME,
-    Experiment,
-    _sha256_file,
-)
-from ..ioutil import atomic_write_text
+from ..collect.experiment import CACHE_DIR_NAME, Experiment
+from ..ioutil import atomic_write_text, canonical_json
 from .model import ReducedData
 
 #: the single cache artifact inside ``<exp>.er/cache/``
@@ -55,15 +51,11 @@ def cache_path(directory) -> Path:
 
 def cache_key(manifest: dict) -> str:
     """Deterministic key for a sealed experiment's current contents."""
-    basis = json.dumps(
-        {
-            "format_version": manifest.get("format_version", 0),
-            "files": manifest.get("files", {}),
-            "payload_version": ReducedData.PAYLOAD_VERSION,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    basis = canonical_json({
+        "format_version": manifest.get("format_version", 0),
+        "files": manifest.get("files", {}),
+        "payload_version": ReducedData.PAYLOAD_VERSION,
+    })
     return hashlib.sha256(basis.encode()).hexdigest()
 
 
@@ -74,22 +66,6 @@ def invalidate(directory) -> bool:
         shutil.rmtree(cache_dir, ignore_errors=True)
         return True
     return False
-
-
-def _files_match_manifest(path: Path, manifest: dict) -> bool:
-    """Re-verify every manifest checksum (corruption leaves the manifest —
-    and therefore the cache key — unchanged, so the key alone cannot be
-    trusted)."""
-    for name, entry in manifest.get("files", {}).items():
-        if not isinstance(entry, dict):
-            return False
-        file = path / name
-        if not file.exists():
-            return False
-        expected = entry.get("sha256")
-        if expected and _sha256_file(file) != expected:
-            return False
-    return True
 
 
 def load(directory) -> Optional[ReducedData]:
@@ -114,7 +90,9 @@ def load(directory) -> Optional[ReducedData]:
             raise ValueError("cache entry is not an object")
         if record.get("key") != cache_key(manifest):
             raise ValueError("experiment changed since the cache was written")
-        if not _files_match_manifest(path, manifest):
+        # corruption leaves the manifest — and therefore the key —
+        # unchanged, so the key alone cannot be trusted
+        if Experiment.verify_manifest(path, manifest):
             raise ValueError("experiment corrupt (checksum mismatch)")
         return ReducedData.from_payload(record["payload"])
     except (ValueError, KeyError, TypeError):

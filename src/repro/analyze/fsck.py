@@ -13,13 +13,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..collect.experiment import (
-    Experiment,
-    FORMAT_VERSION,
-    MANIFEST_NAME,
-    _count_lines,
-    _sha256_file,
-)
+from ..collect.experiment import FORMAT_VERSION, MANIFEST_NAME, Experiment
 from ..errors import ExperimentError
 from . import cache as reduction_cache
 
@@ -57,40 +51,34 @@ def fsck_experiment(directory) -> tuple[str, int]:
                 f"  manifest: format v{version} is newer than this tool (v{FORMAT_VERSION})"
             )
             damage += 1
+        findings = {finding.name: finding
+                    for finding in Experiment.verify_manifest(path, manifest)}
         for name, entry in sorted(manifest["files"].items()):
-            file = path / name
-            if not file.exists():
-                lines.append(f"  {name}: MISSING")
-                damage += 1
-                continue
-            if not isinstance(entry, dict):
-                lines.append(f"  {name}: bad manifest entry")
-                damage += 1
-                continue
-            problems = []
-            size = file.stat().st_size
-            if entry.get("bytes") is not None and size != entry["bytes"]:
-                problems.append(f"size {size} != {entry['bytes']}")
-            if entry.get("sha256") and _sha256_file(file) != entry["sha256"]:
-                problems.append("checksum mismatch")
-            if entry.get("lines") is not None:
-                found = _count_lines(file)
-                if found != entry["lines"]:
-                    problems.append(f"{found} lines != {entry['lines']}")
-            if problems:
-                lines.append(f"  {name}: DAMAGED ({', '.join(problems)})")
-                damage += 1
-            else:
+            finding = findings.get(name)
+            if finding is None:
                 detail = (
                     f"{entry['lines']} lines, " if entry.get("lines") is not None else ""
                 )
                 lines.append(f"  {name}: ok ({detail}checksum ok)")
-
-    # strays the manifest does not cover
-    known = set(manifest["files"]) if manifest else set()
-    for file in sorted(path.iterdir()):
-        if file.is_file() and file.name != MANIFEST_NAME and file.name not in known:
-            if manifest is not None:
+                continue
+            damage += 1
+            if finding.problem == "missing":
+                lines.append(f"  {name}: MISSING")
+            elif finding.problem == "bad entry":
+                lines.append(f"  {name}: bad manifest entry")
+            else:
+                problems = []
+                if finding.size:
+                    problems.append("size {} != {}".format(*finding.size))
+                if finding.checksum:
+                    problems.append("checksum mismatch")
+                if finding.lines:
+                    problems.append("{} lines != {}".format(*finding.lines))
+                lines.append(f"  {name}: DAMAGED ({', '.join(problems)})")
+        # strays the manifest does not cover
+        for file in sorted(path.iterdir()):
+            if (file.is_file() and file.name != MANIFEST_NAME
+                    and file.name not in manifest["files"]):
                 lines.append(f"  {file.name}: not in manifest")
 
     # the real question: can the analyzer load it?

@@ -13,23 +13,24 @@ search killed after trial *k* and resumed appends byte-for-byte the same
 lines an uninterrupted search would have written, so the recovered
 journal is byte-identical to a clean one.
 
-A kill *during* an append can leave a torn final line; :meth:`recover`
-detects it (undecodable or unterminated tail) and truncates it away with
-an atomic rewrite before the search continues.
+The journal is read strictly (:func:`repro.ioutil.scan_jsonl`): a
+damaged line before the last is an error, while a torn final line — a
+kill *during* an append — is dropped by :meth:`read` and truncated away
+by :meth:`recover` with an atomic rewrite before the search continues.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
+from .. import ioutil
 from ..errors import AutotuneError
-from ..ioutil import append_line, atomic_write_text
 
+#: the one serialization every journal writer must use
+canonical_line = ioutil.canonical_json
 
-def canonical_line(record: dict) -> str:
-    """The one serialization every journal writer must use."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+#: a journal line is a JSON object naming its ``type``
+_parse = ioutil.record_parser("type")
 
 
 class SearchJournal:
@@ -49,55 +50,22 @@ class SearchJournal:
         if "type" not in record:
             raise AutotuneError(f"journal record without a type: {record!r}")
         self.outdir.mkdir(parents=True, exist_ok=True)
-        append_line(self.path, canonical_line(record), durable=True)
+        ioutil.append_line(self.path, canonical_line(record), durable=True)
 
     def read(self) -> list:
         """Parse every intact record; a torn tail line is ignored."""
-        records, _torn = self._scan()
-        return records
+        try:
+            return list(ioutil.scan_jsonl(self.path, _parse, ioutil.ScanStats()))
+        except ValueError as error:
+            raise AutotuneError(f"{self.path}: {error}") from None
 
     def recover(self) -> list:
         """Like :meth:`read`, but physically truncates a torn tail so
         subsequent appends continue a clean file."""
-        records, torn = self._scan()
-        if torn:
-            atomic_write_text(
-                self.path,
-                "".join(canonical_line(r) + "\n" for r in records),
-                durable=True,
-            )
-        return records
-
-    def _scan(self):
-        if not self.path.exists():
-            return [], False
-        data = self.path.read_bytes().decode("utf-8", errors="replace")
-        records: list = []
-        torn = False
-        lines = data.split("\n")
-        # a clean file ends with "\n", so the final split element is ""
-        terminated, tail = lines[:-1], lines[-1]
-        for index, line in enumerate(terminated):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if index == len(terminated) - 1 and not tail:
-                    # torn final line that still got its newline flushed
-                    torn = True
-                    break
-                raise AutotuneError(
-                    f"{self.path}: undecodable journal line {index + 1}"
-                ) from None
-            if not isinstance(record, dict) or "type" not in record:
-                raise AutotuneError(
-                    f"{self.path}: journal line {index + 1} is not a record"
-                )
-            records.append(record)
-        if tail:
-            torn = True  # kill mid-write: no trailing newline
-        return records, torn
+        try:
+            return ioutil.recover_jsonl(self.path, _parse)
+        except ValueError as error:
+            raise AutotuneError(f"{self.path}: {error}") from None
 
 
 __all__ = ["SearchJournal", "canonical_line"]

@@ -43,7 +43,6 @@ truncated JSONL lines, and reports everything it skipped in
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -71,22 +70,6 @@ OPTIONAL_FILES = ("log.txt", "map.txt", "truth.jsonl")
 
 
 # ---------------------------------------------------------------- helpers
-
-#: write via unique tmp + rename so readers never see a half-written file
-#: (shared primitive; the reduction cache and fleet store use it too)
-_atomic_write_text = ioutil.atomic_write_text
-
-#: streaming SHA-256 (manifest checksums, fleet dedup keys)
-_sha256_file = ioutil.sha256_file
-
-
-def _count_lines(path: Path) -> int:
-    count = 0
-    with open(path, "rb") as stream:
-        for chunk in iter(lambda: stream.read(1 << 16), b""):
-            count += chunk.count(b"\n")
-    return count
-
 
 #: compact journal-line encoder, built once: ``json.dumps`` with non-default
 #: separators constructs a fresh ``JSONEncoder`` on every call
@@ -320,30 +303,24 @@ class ExperimentInfo:
 
 # ---------------------------------------------------------------- salvage
 
-@dataclass
-class FileSalvage:
-    """Per-file outcome of a salvage-mode read."""
+@dataclass(frozen=True)
+class ManifestFinding:
+    """One file that does not match its ``manifest.json`` entry."""
 
-    lines_read: int = 0
-    lines_kept: int = 0
-    lines_skipped: int = 0
-    first_error: str = ""
+    name: str
+    problem: str                     # "missing", "bad entry" or "mismatch"
+    size: Optional[tuple] = None     # (found, expected) bytes, when they differ
+    checksum: bool = False           # the SHA-256 differs
+    lines: Optional[tuple] = None    # (found, expected) lines, when they differ
 
 
 @dataclass
 class SalvageReport:
     """Everything ``open(strict=False)`` skipped, aggregated or defaulted."""
 
-    files: dict = field(default_factory=dict)   # name -> FileSalvage
+    files: dict = field(default_factory=dict)   # name -> ioutil.ScanStats
     missing: list = field(default_factory=list)
     damage: list = field(default_factory=list)  # free-form notes
-
-    def file(self, name: str) -> FileSalvage:
-        stats = self.files.get(name)
-        if stats is None:
-            stats = FileSalvage()
-            self.files[name] = stats
-        return stats
 
     def note(self, message: str) -> None:
         self.damage.append(message)
@@ -460,12 +437,10 @@ class Experiment:
         if self._stream_dir is None:
             yield from self.clock_events
             return
-        clock_file = self._stream_dir / "clock.jsonl"
-        if clock_file.exists():
-            yield from Experiment._iter_jsonl(
-                clock_file, ClockEvent.from_json, self._stream_strict,
-                self.salvage,
-            )
+        yield from Experiment._iter_jsonl(
+            self._stream_dir / "clock.jsonl", ClockEvent.from_json,
+            self._stream_strict, self.salvage,
+        )
 
     def iter_hwc_events(self):
         """HW-counter events, grouped per journal file in file order (the
@@ -500,10 +475,9 @@ class Experiment:
         else:
             yield from self.truth_events
             return
-        if truth_file.exists():
-            yield from Experiment._iter_jsonl(
-                truth_file, TruthEvent.from_json, strict, salvage
-            )
+        yield from Experiment._iter_jsonl(
+            truth_file, TruthEvent.from_json, strict, salvage
+        )
 
     # ------------------------------------------------------------- journal
 
@@ -532,7 +506,7 @@ class Experiment:
         provisional = asdict(self.info)
         provisional["incomplete"] = True
         provisional["fault"] = provisional["fault"] or "collection in progress"
-        _atomic_write_text(path / "info.json", json.dumps(provisional, indent=2))
+        ioutil.atomic_write_text(path / "info.json", json.dumps(provisional, indent=2))
         # replay anything recorded before journaling started
         for line in self.log_lines:
             self._journal_write("log.txt", line)
@@ -629,9 +603,7 @@ class Experiment:
         self.flush_journal()
         self._close_journal_streams()
         # parity with the full-write layout: clock.jsonl always exists
-        clock_file = path / "clock.jsonl"
-        if not clock_file.exists():
-            clock_file.touch()
+        (path / "clock.jsonl").touch()
         # program.pkl was written by start_journal and the image does not
         # change during a run: only the metadata is rewritten here
         self._write_metadata(path)
@@ -641,9 +613,8 @@ class Experiment:
     # ------------------------------------------------------------- writers
 
     def _write_program(self, path: Path) -> None:
-        tmp = path / "program.pkl.tmp"
-        self.program.save(tmp)
-        os.replace(tmp, path / "program.pkl")
+        with ioutil.atomic_path(path / "program.pkl") as tmp:
+            self.program.save(tmp)
 
     def _map_lines(self) -> list[str]:
         map_lines = ["# loadobjects map: module, function, start, end"]
@@ -661,33 +632,24 @@ class Experiment:
         return map_lines
 
     def _write_metadata(self, path: Path) -> None:
-        _atomic_write_text(path / "log.txt", "\n".join(self.log_lines) + "\n")
-        _atomic_write_text(path / "map.txt", "\n".join(self._map_lines()) + "\n")
-        _atomic_write_text(
+        ioutil.atomic_write_text(path / "log.txt", "\n".join(self.log_lines) + "\n")
+        ioutil.atomic_write_text(path / "map.txt", "\n".join(self._map_lines()) + "\n")
+        ioutil.atomic_write_text(
             path / "info.json", json.dumps(asdict(self.info), indent=2)
         )
 
     def _write_events(self, path: Path) -> None:
-        tmp = path / "clock.jsonl.tmp"
-        with open(tmp, "w") as stream:
-            for clock_event in self.clock_events:
-                stream.write(clock_event.to_json() + "\n")
-        os.replace(tmp, path / "clock.jsonl")
-        counters = {event.counter for event in self.hwc_events}
-        for counter in sorted(counters):
-            tmp = path / f"hwc{counter}.jsonl.tmp"
-            with open(tmp, "w") as stream:
-                for event in self.hwc_events:
-                    if event.counter == counter:
-                        stream.write(event.to_json() + "\n")
-            os.replace(tmp, path / f"hwc{counter}.jsonl")
-        truth_lines = [event.to_json() + "\n"
-                       for event in self.iter_truth_events()]
+        def write(name, lines):
+            with ioutil.atomic_path(path / name) as tmp, open(tmp, "w") as out:
+                out.writelines(lines)
+
+        write("clock.jsonl", (e.to_json() + "\n" for e in self.clock_events))
+        for counter in sorted({event.counter for event in self.hwc_events}):
+            write(f"hwc{counter}.jsonl", (e.to_json() + "\n" for e in
+                                          self.hwc_events if e.counter == counter))
+        truth_lines = [e.to_json() + "\n" for e in self.iter_truth_events()]
         if truth_lines:
-            tmp = path / "truth.jsonl.tmp"
-            with open(tmp, "w") as stream:
-                stream.writelines(truth_lines)
-            os.replace(tmp, path / "truth.jsonl")
+            write("truth.jsonl", truth_lines)
 
     def _write_manifest(self, path: Path) -> None:
         files = {}
@@ -698,10 +660,10 @@ class Experiment:
                 continue
             entry = {
                 "bytes": file.stat().st_size,
-                "sha256": _sha256_file(file),
+                "sha256": ioutil.sha256_file(file),
             }
             if file.suffix in (".jsonl", ".txt"):
-                entry["lines"] = _count_lines(file)
+                entry["lines"] = ioutil.count_lines(file)
             files[file.name] = entry
         manifest = {
             "format_version": FORMAT_VERSION,
@@ -710,7 +672,7 @@ class Experiment:
             "fault": self.info.fault,
             "files": files,
         }
-        _atomic_write_text(path / MANIFEST_NAME, json.dumps(manifest, indent=2))
+        ioutil.atomic_write_text(path / MANIFEST_NAME, json.dumps(manifest, indent=2))
 
     # ---------------------------------------------------------------- load
 
@@ -729,6 +691,34 @@ class Experiment:
         ):
             return None
         return manifest
+
+    @staticmethod
+    def verify_manifest(directory, manifest: dict) -> list:
+        """One :class:`ManifestFinding` per file the manifest promises that
+        is missing, has an unusable entry, or differs in size or checksum,
+        in manifest order.  Each file with a checksum is hashed once; lines
+        are counted only for a file that differs."""
+        findings, directory = [], Path(directory)
+        for name, entry in manifest["files"].items():
+            file = directory / name
+            if not file.exists():
+                findings.append(ManifestFinding(name, "missing"))
+                continue
+            if not isinstance(entry, dict):
+                findings.append(ManifestFinding(name, "bad entry"))
+                continue
+            found_size, expected_size = file.stat().st_size, entry.get("bytes")
+            size = (None if expected_size in (None, found_size)
+                    else (found_size, expected_size))
+            checksum = bool(entry.get("sha256")) and (
+                ioutil.sha256_file(file) != entry["sha256"])
+            if size is None and not checksum:
+                continue
+            expected_lines = entry.get("lines")
+            found = None if expected_lines is None else ioutil.count_lines(file)
+            lines = None if found == expected_lines else (found, expected_lines)
+            findings.append(ManifestFinding(name, "mismatch", size, checksum, lines))
+        return findings
 
     @staticmethod
     def open(directory, strict: bool = True) -> "Experiment":
@@ -824,77 +814,43 @@ class Experiment:
         elif not strict:
             salvage.missing.append("log.txt")
 
-        if not load_events:
-            exp._stream_dir = path
-            exp._stream_strict = strict
-            return exp
-        clock_file = path / "clock.jsonl"
-        if clock_file.exists():
-            exp.clock_events.extend(
-                Experiment._iter_jsonl(clock_file, ClockEvent.from_json,
-                                       strict, salvage)
-            )
-        for hwc_file in sorted(path.glob("hwc*.jsonl")):
-            exp.hwc_events.extend(
-                Experiment._iter_jsonl(hwc_file, HwcEvent.from_json,
-                                       strict, salvage)
-            )
-        truth_file = path / "truth.jsonl"
-        if truth_file.exists():
-            exp.truth_events.extend(
-                Experiment._iter_jsonl(truth_file, TruthEvent.from_json,
-                                       strict, salvage)
-            )
+        exp._stream_dir, exp._stream_strict = path, strict
+        if load_events:
+            exp.clock_events = list(exp.iter_clock_events())
+            exp.hwc_events = list(exp.iter_hwc_events())
+            exp.truth_events = list(exp.iter_truth_events())
+            exp._stream_dir = None
         return exp
 
     @staticmethod
     def _check_manifest(path: Path, manifest: dict, strict: bool,
                         salvage: SalvageReport) -> None:
-        """Verify checksums/sizes of everything the manifest promises."""
-        for name, entry in manifest["files"].items():
-            file = path / name
-            if not file.exists():
+        """Verify checksums of everything the manifest promises."""
+        for finding in Experiment.verify_manifest(path, manifest):
+            name = finding.name
+            if finding.problem == "missing":
                 if strict and name not in OPTIONAL_FILES:
                     raise ExperimentCorrupt("file missing", file=name)
                 salvage.missing.append(name)
-                continue
-            if not isinstance(entry, dict):
+            elif finding.problem == "bad entry":
                 salvage.note(f"{name}: bad manifest entry")
-                continue
-            expected = entry.get("sha256")
-            if expected and _sha256_file(file) != expected:
+            elif finding.checksum:
                 if strict:
                     raise ExperimentCorrupt("checksum mismatch", file=name)
-                expected_lines = entry.get("lines")
-                found = _count_lines(file) if expected_lines is not None else None
-                detail = (
-                    f" (manifest {expected_lines} lines, found {found})"
-                    if expected_lines is not None and expected_lines != found
-                    else ""
-                )
+                detail = "" if finding.lines is None else (
+                    f" (manifest {finding.lines[1]} lines, "
+                    f"found {finding.lines[0]})")
                 salvage.note(f"{name}: checksum mismatch{detail}")
 
     @staticmethod
     def _iter_jsonl(file: Path, parse, strict: bool,
                     salvage: SalvageReport):
-        """Yield parsed events line by line, tallying salvage stats."""
-        stats = salvage.file(file.name)
-        with open(file, errors="replace") as stream:
-            for lineno, line in enumerate(stream, 1):
-                if not line.strip():
-                    continue
-                stats.lines_read += 1
-                try:
-                    event = parse(line, source=file.name, lineno=lineno)
-                except ExperimentCorrupt as error:
-                    if strict:
-                        raise
-                    stats.lines_skipped += 1
-                    if not stats.first_error:
-                        stats.first_error = str(error)
-                else:
-                    stats.lines_kept += 1
-                    yield event
+        """Yield parsed events line by line, tallying salvage stats; strict
+        mode also raises on a torn last line."""
+        stats = salvage.files.setdefault(file.name, ioutil.ScanStats())
+        yield from ioutil.scan_jsonl(file, parse, stats, strict)
+        if strict and stats.torn is not None:
+            raise stats.torn
 
 
 __all__ = [
@@ -904,7 +860,7 @@ __all__ = [
     "ClockEvent",
     "TruthEvent",
     "SalvageReport",
-    "FileSalvage",
+    "ManifestFinding",
     "FORMAT_VERSION",
     "MANIFEST_NAME",
     "CACHE_DIR_NAME",

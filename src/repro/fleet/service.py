@@ -70,7 +70,7 @@ from .store import (
     stale_locks,
     wal_append,
     wal_checkpoint,
-    wal_pending,
+    wal_recover,
 )
 
 
@@ -184,10 +184,11 @@ class FleetService:
         committed — leave it for the drain loop, whose ledger check makes
         the re-ingest exactly-once.  Stale merge locks (holder died
         mid-critical-section) are broken here; stale *claims* are broken
-        lazily by :func:`repro.fleet.spool.claim` itself.
+        lazily by :func:`repro.fleet.spool.claim` itself.  Torn WAL lines
+        are dropped first, so no ``done`` record lands on a fragment.
         """
         actions = []
-        for entry, begin in sorted(wal_pending(self.paths).items()):
+        for entry, begin in sorted(wal_recover(self.paths).items()):
             sub_id = begin.get("sub", "")
             token = begin.get("key", "")
             try:

@@ -48,7 +48,7 @@ from typing import Optional
 
 from ..collect.experiment import CACHE_DIR_NAME, MANIFEST_NAME, Experiment
 from ..errors import SpoolError
-from ..ioutil import atomic_write_text, fsync_dir, sha256_file
+from ..ioutil import atomic_write_text, canonical_json, fsync_dir, sha256_file
 
 #: quarantine reason codes (machine-readable, stable)
 QUARANTINE_UNDECODABLE = "undecodable"          # no usable program/metadata
@@ -117,8 +117,7 @@ def submission_id(experiment_dir) -> str:
             if file.is_file() and file.suffix != ".tmp":
                 files[file.name] = sha256_file(file)
         basis = {"files": files}
-    text = json.dumps(basis, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()[:32]
+    return hashlib.sha256(canonical_json(basis).encode()).hexdigest()[:32]
 
 
 def entry_name(sub_id: str, window: str) -> str:

@@ -42,9 +42,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from .. import ioutil
 from ..analyze.model import ReducedData
 from ..errors import StoreCorrupt
-from ..ioutil import append_line, atomic_write_bytes
 from .retry import RetryPolicy, call_with_retries
 from .spool import FleetPaths
 
@@ -69,9 +69,8 @@ class AggregateKey:
 
     def token(self) -> str:
         """Filesystem-safe digest naming this key's aggregate file."""
-        basis = json.dumps(
-            [self.program, self.workload, self.counters, self.window],
-            separators=(",", ":"),
+        basis = ioutil.canonical_json(
+            [self.program, self.workload, self.counters, self.window]
         )
         return hashlib.sha256(basis.encode()).hexdigest()[:16]
 
@@ -113,7 +112,7 @@ def serialize_aggregate(key: AggregateKey, experiments: dict,
         "experiments": {k: experiments[k] for k in sorted(experiments)},
         "payload": payload,
     }
-    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+    return ioutil.canonical_json(record).encode()
 
 
 def load_aggregate(paths: FleetPaths, token: str) -> Optional[dict]:
@@ -152,7 +151,7 @@ def commit_aggregate(paths: FleetPaths, key: AggregateKey,
     """Atomically publish one aggregate state (THE commit point)."""
     file = aggregate_path(paths, key.token())
     file.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_bytes(
+    ioutil.atomic_write_bytes(
         file, serialize_aggregate(key, experiments, payload), durable=True
     )
     return file
@@ -203,46 +202,41 @@ def window_ledger_has(paths: FleetPaths, sub_id: str, window: str) -> bool:
 
 # --------------------------------------------------------------------- WAL
 
+#: a WAL line is a JSON object naming its ``op``
+_parse_wal = ioutil.record_parser("op")
+
+
 def wal_append(paths: FleetPaths, record: dict) -> None:
     """Durably append one WAL record (single O_APPEND write + fsync)."""
     paths.store.mkdir(parents=True, exist_ok=True)
-    append_line(
-        paths.wal, json.dumps(record, sort_keys=True, separators=(",", ":")),
-        durable=True,
-    )
+    ioutil.append_line(paths.wal, ioutil.canonical_json(record), durable=True)
 
 
 def wal_records(paths: FleetPaths) -> tuple:
     """(parsed records, torn/undecodable line count).
 
-    A crash mid-append can tear the final line; torn lines are skipped
-    and counted, never fatal — the WAL is there to recover *from*
-    crashes, so it must itself tolerate them.
+    Read in salvage mode: several drain workers append to the WAL, so a
+    torn line — a crash mid-append — may sit anywhere in it.  Torn lines
+    are skipped and counted, never fatal: the WAL is there to recover
+    *from* crashes, so it must itself tolerate them.
     """
-    records: list = []
-    torn = 0
-    if not paths.wal.exists():
-        return records, torn
-    with open(paths.wal, errors="replace") as stream:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                torn += 1
-                continue
-            if isinstance(record, dict) and record.get("op"):
-                records.append(record)
-            else:
-                torn += 1
-    return records, torn
+    stats = ioutil.ScanStats()
+    records = list(ioutil.scan_jsonl(paths.wal, _parse_wal, stats, strict=False))
+    return records, stats.lines_skipped
+
+
+def wal_recover(paths: FleetPaths) -> dict:
+    """Drop torn lines and end the file with a newline, so the next append
+    cannot land on a fragment; returns :func:`wal_pending`'s map."""
+    return _pending(ioutil.recover_jsonl(paths.wal, _parse_wal, strict=False))
 
 
 def wal_pending(paths: FleetPaths) -> dict:
     """entry -> latest ``begin`` record, for entries with no terminal op."""
-    records, _torn = wal_records(paths)
+    return _pending(wal_records(paths)[0])
+
+
+def _pending(records: list) -> dict:
     state: dict = {}
     for record in records:
         entry = record.get("entry")
@@ -259,18 +253,10 @@ def wal_checkpoint(paths: FleetPaths) -> int:
     """Compact the WAL down to its unresolved entries; returns records
     dropped.  Always leaves a (possibly empty) WAL file, atomically."""
     records, torn = wal_records(paths)
-    pending = wal_pending(paths)
-    keep = [
-        record for record in records
-        if record.get("entry") in pending
-    ]
-    dropped = len(records) - len(keep) + torn
-    text = "".join(
-        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        for record in keep
-    )
-    atomic_write_bytes(paths.wal, text.encode(), durable=True)
-    return dropped
+    pending = _pending(records)
+    keep = [record for record in records if record.get("entry") in pending]
+    ioutil.rewrite_jsonl(paths.wal, keep)
+    return len(records) - len(keep) + torn
 
 
 # ------------------------------------------------------------- merge locks
@@ -357,5 +343,6 @@ __all__ = [
     "wal_checkpoint",
     "wal_pending",
     "wal_records",
+    "wal_recover",
     "window_ledger_has",
 ]

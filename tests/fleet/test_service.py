@@ -15,7 +15,13 @@ from repro.fleet.spool import (
     QUARANTINE_TIMEOUT,
     QUARANTINE_UNDECODABLE,
 )
-from repro.fleet.store import wal_records
+from repro.fleet.store import (
+    AggregateKey,
+    commit_aggregate,
+    wal_append,
+    wal_pending,
+    wal_records,
+)
 
 from .conftest import quarantine_facts
 
@@ -139,6 +145,26 @@ class TestIngest:
         assert quarantine_facts(fleet_root) == {
             (result.sub_id, QUARANTINE_IO_ERROR)
         }
+
+
+class TestRecoverTornWal:
+    def test_done_record_does_not_land_on_a_torn_tail(self, fleet_root):
+        """A worker killed after its commit rename leaves a ``begin``; a
+        second crash mid-append leaves an unterminated fragment after it.
+        Recovery's ``done`` for the committed entry must survive."""
+        service = FleetService(fleet_root, owner="w1")
+        key = AggregateKey("prog", "mcf", "ecrm", "w1")
+        commit_aggregate(service.paths, key,
+                         {"sub1": {"name": "a", "incomplete": False}}, {})
+        wal_append(service.paths, {"op": "begin", "entry": "e1",
+                                   "sub": "sub1", "key": key.token()})
+        with open(service.paths.wal, "a") as stream:
+            stream.write('{"op":"done","ent')
+
+        assert service.recover() == [
+            "e1: committed before the crash; finished its cleanup"]
+        assert wal_pending(service.paths) == {}
+        assert wal_records(service.paths) == ([], 0)
 
 
 class TestConcurrency:
