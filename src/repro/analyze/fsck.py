@@ -31,6 +31,7 @@ def fsck_experiment(directory) -> tuple[str, int]:
         return "\n".join(lines), FSCK_NO_EXPERIMENT
 
     damage = 0
+    findings = None
     manifest = Experiment.read_manifest(path)
     if manifest is None:
         if (path / MANIFEST_NAME).exists():
@@ -51,10 +52,10 @@ def fsck_experiment(directory) -> tuple[str, int]:
                 f"  manifest: format v{version} is newer than this tool (v{FORMAT_VERSION})"
             )
             damage += 1
-        findings = {finding.name: finding
-                    for finding in Experiment.verify_manifest(path, manifest)}
+        findings = Experiment.verify_manifest(path, manifest)
+        by_name = {finding.name: finding for finding in findings}
         for name, entry in sorted(manifest["files"].items()):
-            finding = findings.get(name)
+            finding = by_name.get(name)
             if finding is None:
                 detail = (
                     f"{entry['lines']} lines, " if entry.get("lines") is not None else ""
@@ -81,9 +82,10 @@ def fsck_experiment(directory) -> tuple[str, int]:
                     and file.name not in manifest["files"]):
                 lines.append(f"  {file.name}: not in manifest")
 
-    # the real question: can the analyzer load it?
+    # the real question: can the analyzer load it?  The open reuses the
+    # findings rather than hashing every file a second time.
     try:
-        exp = Experiment.open(path, strict=False)
+        exp = Experiment.open(path, strict=False, findings=findings)
     except ExperimentError as error:
         lines.append(f"  salvage: FAILED ({error})")
         if reduction_cache.invalidate(path):

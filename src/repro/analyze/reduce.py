@@ -11,10 +11,15 @@ memop info but no branch-target table ``(Unverifiable)``.
 
 Scaling (§4 of the paper, "aggregating by cache line and page"):
 
-* the reducer is a **streaming** pass — it consumes the experiment's
-  event iterators one event at a time, so a saved experiment opened with
-  :meth:`Experiment.open_streaming` reduces in memory bounded by the
-  result tables, not the journal size;
+* the reducer is a **streaming** pass — it folds the experiment's event
+  iterators, one event at a time, into weight sums per distinct
+  attribution key and then attributes each key once, so a saved
+  experiment opened with :meth:`Experiment.open_streaming` is never held
+  in memory whole.  The fold keeps one entry per distinct key, callstack
+  included, beside the result tables and the per-event sample lists:
+  at most one per event, and far fewer when callstacks repeat (30% of
+  the clock ticks and 12% of the counter events of a profiled MCF run,
+  DESIGN §8);
 * events with a recomputed effective address are additionally aggregated
   by **cache line** (the collecting machine's E$ line geometry) and by
   **virtual page** (each segment's page size), with per-line/per-page
@@ -32,7 +37,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..compiler import debuginfo
 from ..compiler.program import Program
@@ -64,6 +69,16 @@ DEFAULT_PAGE_BYTES = 8192
 DEFAULT_LINE_BYTES = 512
 
 
+class _Verdict(NamedTuple):
+    """What a found event's (candidate PC, trap PC) pair decides."""
+
+    blocker: Optional[int]         # branch target between them, else None
+    object_class: str
+    key: Optional[DataObjectKey]   # member row, for struct and scalar memops
+    label: str                     # the data-space label: object[.member]
+    store: bool                    # the candidate instruction is a store
+
+
 class _Reducer:
     def __init__(self, experiment: Experiment) -> None:
         if experiment.program is None:
@@ -75,6 +90,7 @@ class _Reducer:
         self.reduced = ReducedData(self.program, clock_hz)
         self.branch_targets = sorted(self.program.branch_targets)
         self._func_cache: dict[int, Optional[str]] = {}
+        self._verdicts: dict[tuple, _Verdict] = {}
         # data-space geometry: E$ line size from the collecting machine,
         # page size per segment from the loadobject map
         self.line_bytes = info.ecache_line_bytes or DEFAULT_LINE_BYTES
@@ -126,7 +142,8 @@ class _Reducer:
             caller = self._function_name(call_site)
             chain.append(caller or f"<unknown 0x{call_site:x}>")
         chain.append(leaf)
-        for name in set(chain):
+        # first-seen order: a set's order would follow string hashing
+        for name in dict.fromkeys(chain):
             reduced.functions_incl[name].add(metric_id, weight)
         for caller, callee in zip(chain, chain[1:]):
             reduced.caller_callee[(caller, callee)].add(metric_id, weight)
@@ -156,6 +173,36 @@ class _Reducer:
         if key is not None:
             self.reduced.data_members[key].add(metric_id, weight)
 
+    def _verdict(self, candidate: int, trap_pc: int) -> _Verdict:
+        """Validate a found candidate and classify its data object.
+
+        Both depend on nothing but the (candidate, trap PC) pair, so each
+        pair is decided once per reduction.
+        """
+        pair = (candidate, trap_pc)
+        verdict = self._verdicts.get(pair)
+        if verdict is not None:
+            return verdict
+        program = self.program
+        blocker, key = None, None
+        if program.has_branch_info(candidate):
+            blocker = self._branch_target_in(candidate, trap_pc)
+            if blocker is not None:
+                object_class = UNRESOLVABLE
+            else:
+                object_class, key = self._data_object_for(candidate)
+        elif program.hwcprof_enabled(candidate):
+            # memop info exists but validation is impossible
+            object_class = UNVERIFIABLE
+        else:
+            object_class = UNASCERTAINABLE
+        label = f"{object_class}.{key.member}" if key is not None else object_class
+        instr = program.instr_at(candidate)
+        verdict = _Verdict(blocker, object_class, key, label,
+                           instr is not None and is_store(instr))
+        self._verdicts[pair] = verdict
+        return verdict
+
     # ------------------------------------------------------ data-space axes
 
     def _page_of(self, ea: int) -> tuple[str, int]:
@@ -168,7 +215,7 @@ class _Reducer:
         return UNMAPPED_SEGMENT, (ea // DEFAULT_PAGE_BYTES) * DEFAULT_PAGE_BYTES
 
     def _account_data_space(self, metric_id: str, weight: float, ea: int,
-                            object_class: str, key) -> None:
+                            label: str, writer: Optional[int]) -> None:
         """Aggregate one addressed event by cache line and virtual page,
         remembering which data object/member the address belonged to."""
         reduced = self.reduced
@@ -176,28 +223,40 @@ class _Reducer:
         reduced.cache_lines[line_base].add(metric_id, weight)
         segment, page_base = self._page_of(ea)
         reduced.pages[(segment, page_base)].add(metric_id, weight)
-        label = f"{object_class}.{key.member}" if key is not None else object_class
         reduced.cache_line_objects[(line_base, label)].add(metric_id, weight)
         reduced.page_objects[(segment, page_base, label)].add(metric_id, weight)
+        if writer is not None:
+            # write-side sharing axis: an addressed event whose validated
+            # trigger is a *store* marks its thread as a writer of the
+            # cache line — two or more distinct writer threads on one line
+            # is the false-sharing signature
+            reduced.cache_line_writers[(line_base, writer)].add(metric_id, weight)
 
     # --------------------------------------------------------------- passes
 
     def run(self) -> ReducedData:
-        """Execute the pass over the whole unit and return the result."""
+        """Execute the pass over the whole unit and return the result.
+
+        Each journal is folded in one streaming pass into weight sums per
+        distinct key, and each key is then attributed once, in
+        first-occurrence order — the tables come out as a per-event pass
+        would leave them (DESIGN §8).
+        """
         experiment = self.experiment
         info = experiment.info
         reduced = self.reduced
 
-        # stream the events first: for open_streaming experiments the
+        # fold the events first: for open_streaming experiments the
         # salvage tallies (and hence the incomplete flag recorded below)
         # are only final once the iterators are exhausted
         clock_weight = info.clock_interval_cycles
-        for event in experiment.iter_clock_events():
-            self._attribute("user_cpu", clock_weight, event.pc, event.callstack)
+        for (pc, callstack, thread), ticks in self._fold_clock().items():
+            weight = clock_weight * ticks
+            self._attribute("user_cpu", weight, pc, callstack)
             if self.multi_core:
-                reduced.threads[event.thread].add("user_cpu", clock_weight)
-        for event in experiment.iter_hwc_events():
-            self._reduce_hwc(event)
+                reduced.threads[thread].add("user_cpu", weight)
+        for key, weight in self._fold_hwc().items():
+            self._reduce_hwc(key, weight)
 
         reduced.machine_totals = dict(info.totals)
         reduced.segments = [tuple(seg) for seg in info.segments]
@@ -210,81 +269,95 @@ class _Reducer:
         reduced.metric_ids = sorted(present, key=metric_sort_key)
         return reduced
 
-    def _reduce_hwc(self, event) -> None:
-        metric_id = event.event
-        # a time-multiplexed counter was live for 1/scale of the run, so
-        # each sample stands for scale times its weight (an estimate —
-        # the journal header carries the multiplexed flag)
-        weight = float(event.weight) * event.scale
-        program = self.program
+    def _fold_clock(self) -> dict:
+        """(pc, callstack, thread) -> ticks over the clock journal."""
+        multi_core = self.multi_core
+        ticks: dict = {}
+        for event in self.experiment.iter_clock_events():
+            key = (event.pc, event.callstack, event.thread if multi_core else 0)
+            ticks[key] = ticks.get(key, 0) + 1
+        return ticks
 
+    def _fold_hwc(self) -> dict:
+        """(event, status, candidate PC, trap PC, callstack, thread) ->
+        summed weight over the counter journals.  The sample lists and the
+        data-space tables of addressed events that pass validation are
+        fed here, per event, in stream order."""
+        reduced = self.reduced
+        multi_core = self.multi_core
+        verdict = self._verdict
+        account_data_space = self._account_data_space
+        attribution: dict = {}
+        for event in self.experiment.iter_hwc_events():
+            metric_id = event.event
+            # a time-multiplexed counter was live for 1/scale of the run, so
+            # each sample stands for scale times its weight (an estimate —
+            # the journal header carries the multiplexed flag)
+            weight = float(event.weight) * event.scale
+            if event.latency is not None:
+                reduced.latency_samples[metric_id].append(
+                    (event.latency, weight)
+                )
+            thread = event.thread if multi_core else 0
+            status, candidate = event.status, event.candidate_pc
+            if status == "found" and candidate is not None:
+                ea = event.effective_address
+                if ea is not None:
+                    blocker, _cls, _key, label, store = verdict(
+                        candidate, event.trap_pc
+                    )
+                    if blocker is None:
+                        reduced.address_samples[metric_id].append((ea, weight))
+                        account_data_space(
+                            metric_id, weight, ea, label,
+                            thread if multi_core and store else None,
+                        )
+            else:
+                # a disabled or failed search is charged to the trap PC:
+                # its key drops the candidate
+                status = "disabled" if status == "disabled" else "not_found"
+                candidate = None
+            key = (metric_id, status, candidate, event.trap_pc,
+                   event.callstack, thread)
+            attribution[key] = attribution.get(key, 0.0) + weight
+        return attribution
+
+    def _reduce_hwc(self, key: tuple, weight: float) -> None:
+        """Attribute one attribution key's summed counter weight."""
+        metric_id, status, candidate, trap_pc, callstack, thread = key
         if self.multi_core:
-            self.reduced.threads[event.thread].add(metric_id, weight)
+            self.reduced.threads[thread].add(metric_id, weight)
 
-        if event.latency is not None:
-            self.reduced.latency_samples[metric_id].append(
-                (event.latency, weight)
-            )
-
-        if event.status == "disabled":
+        if status == "disabled":
             # no backtracking requested: raw skidded PC, no data objects
-            self._attribute(metric_id, weight, event.trap_pc, event.callstack)
+            self._attribute(metric_id, weight, trap_pc, callstack)
             return
 
-        if event.status != "found" or event.candidate_pc is None:
+        if candidate is None:
             # collector walked back and found nothing
-            self._attribute(metric_id, weight, event.trap_pc, event.callstack)
+            self._attribute(metric_id, weight, trap_pc, callstack)
             self._account_data_object(metric_id, weight, UNRESOLVABLE, None)
             return
 
-        candidate = event.candidate_pc
-        if program.has_branch_info(candidate):
-            blocker = self._branch_target_in(candidate, event.trap_pc)
-            if blocker is not None:
-                # validation failed: artificial <branch target> PC
-                self._attribute(metric_id, weight, blocker, event.callstack,
-                                artificial=True)
-                self._account_data_object(metric_id, weight, UNRESOLVABLE, None)
-                return
-            self._attribute(metric_id, weight, candidate, event.callstack)
-            object_class, key = self._data_object_for(candidate)
-        elif program.hwcprof_enabled(candidate):
-            # memop info exists but validation is impossible
-            self._attribute(metric_id, weight, candidate, event.callstack)
-            object_class, key = UNVERIFIABLE, None
-        else:
-            self._attribute(metric_id, weight, candidate, event.callstack)
-            object_class, key = UNASCERTAINABLE, None
-        self._account_data_object(metric_id, weight, object_class, key)
-
-        if event.effective_address is not None:
-            self.reduced.address_samples[metric_id].append(
-                (event.effective_address, weight)
-            )
-            self._account_data_space(
-                metric_id, weight, event.effective_address, object_class, key
-            )
-            if self.multi_core:
-                # write-side sharing axis: an addressed event whose
-                # validated trigger is a *store* marks its thread as a
-                # writer of the cache line — two or more distinct writer
-                # threads on one line is the false-sharing signature
-                instr = program.instr_at(candidate)
-                if instr is not None and is_store(instr):
-                    line_base = (
-                        event.effective_address // self.line_bytes
-                    ) * self.line_bytes
-                    self.reduced.cache_line_writers[
-                        (line_base, event.thread)
-                    ].add(metric_id, weight)
+        blocker, object_class, member, _label, _store = self._verdict(
+            candidate, trap_pc
+        )
+        if blocker is not None:
+            # validation failed: artificial <branch target> PC
+            self._attribute(metric_id, weight, blocker, callstack,
+                            artificial=True)
+            self._account_data_object(metric_id, weight, UNRESOLVABLE, None)
+            return
+        self._attribute(metric_id, weight, candidate, callstack)
+        self._account_data_object(metric_id, weight, object_class, member)
 
         # annotate the PC record with its data object (for the PC report)
-        record = self.reduced.pcs.get(candidate)
-        if record is not None and not record.data_object:
-            object_class, key = self._data_object_for(candidate)
+        record = self.reduced.pcs[candidate]
+        if not record.data_object:
+            object_class, member = self._data_object_for(candidate)
             record.data_object = object_class
-            if key is not None:
-                record.member = key.member
+            if member is not None:
+                record.member = member.member
 
 
 def reduce_experiment(experiment: Experiment) -> ReducedData:

@@ -84,8 +84,12 @@ def _normalize_dir(directory) -> Path:
 
 
 # ----------------------------------------------------------------- events
+#
+# Event records are slotted, not frozen: a reader builds one per journal
+# line, and a frozen dataclass pays an ``object.__setattr__`` per field.
+# Nothing mutates or hashes them.
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HwcEvent:
     """One counter-overflow profile event, as recorded at collection time."""
 
@@ -165,7 +169,7 @@ class HwcEvent:
             ) from error
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TruthEvent:
     """Ground truth for one counter-overflow trap (oracle side channel).
 
@@ -233,7 +237,7 @@ class TruthEvent:
             ) from error
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClockEvent:
     """One clock-profile tick (SIGPROF).  Cannot be backtracked."""
 
@@ -721,7 +725,8 @@ class Experiment:
         return findings
 
     @staticmethod
-    def open(directory, strict: bool = True) -> "Experiment":
+    def open(directory, strict: bool = True,
+             findings: Optional[list] = None) -> "Experiment":
         """Read a saved experiment directory back into memory.
 
         ``strict=True`` (the default) raises :class:`ExperimentCorrupt`
@@ -730,8 +735,11 @@ class Experiment:
         is salvage mode: optional files may be missing, malformed lines
         are skipped and tallied, and the result carries a
         :class:`SalvageReport` in :attr:`Experiment.salvage`.
+        ``findings`` is the directory's :meth:`verify_manifest` result
+        when the caller already holds it, so no file is hashed twice.
         """
-        return Experiment._open(directory, strict, load_events=True)
+        return Experiment._open(directory, strict, load_events=True,
+                                findings=findings)
 
     @staticmethod
     def open_streaming(directory, strict: bool = False) -> "Experiment":
@@ -748,7 +756,8 @@ class Experiment:
         return Experiment._open(directory, strict, load_events=False)
 
     @staticmethod
-    def _open(directory, strict: bool, load_events: bool) -> "Experiment":
+    def _open(directory, strict: bool, load_events: bool,
+              findings: Optional[list] = None) -> "Experiment":
         path = Path(directory)
         if not path.is_dir():
             raise ExperimentError(f"no experiment directory at {path}")
@@ -773,7 +782,9 @@ class Experiment:
                 if strict:
                     raise ExperimentCorrupt(message, file=MANIFEST_NAME)
                 salvage.note(message)
-            Experiment._check_manifest(path, manifest, strict, salvage)
+            if findings is None:
+                findings = Experiment.verify_manifest(path, manifest)
+            Experiment._check_findings(findings, strict, salvage)
 
         # info.json — defaults are salvageable
         info_file = path / "info.json"
@@ -823,10 +834,10 @@ class Experiment:
         return exp
 
     @staticmethod
-    def _check_manifest(path: Path, manifest: dict, strict: bool,
+    def _check_findings(findings: list, strict: bool,
                         salvage: SalvageReport) -> None:
-        """Verify checksums of everything the manifest promises."""
-        for finding in Experiment.verify_manifest(path, manifest):
+        """Raise on, or note, the files that do not match the manifest."""
+        for finding in findings:
             name = finding.name
             if finding.problem == "missing":
                 if strict and name not in OPTIONAL_FILES:

@@ -36,10 +36,10 @@ from .store import (
     AggregateKey,
     list_aggregates,
     load_aggregate,
+    pending_entries,
     serialize_aggregate,
     stale_locks,
     wal_checkpoint,
-    wal_pending,
     wal_records,
 )
 
@@ -73,7 +73,7 @@ def fsck_store(root, repair: bool = False,
 
 def _check_wal(paths: FleetPaths, lines: list, repair: bool) -> int:
     records, torn = wal_records(paths)
-    pending = wal_pending(paths)
+    pending = pending_entries(records)
     lines.append(f"  wal: {len(records)} records, {len(pending)} unresolved")
     if repair and (torn or pending):
         from .service import FleetService  # late import: avoid the cycle
@@ -81,7 +81,7 @@ def _check_wal(paths: FleetPaths, lines: list, repair: bool) -> int:
         for action in FleetService(paths.root).recover():
             lines.append(f"  wal: repaired: {action}")
         records, torn = wal_records(paths)
-        pending = wal_pending(paths)
+        pending = pending_entries(records)
     problems = 0
     if torn:
         problems += 1

@@ -227,16 +227,14 @@ def wal_records(paths: FleetPaths) -> tuple:
 
 def wal_recover(paths: FleetPaths) -> dict:
     """Drop torn lines and end the file with a newline, so the next append
-    cannot land on a fragment; returns :func:`wal_pending`'s map."""
-    return _pending(ioutil.recover_jsonl(paths.wal, _parse_wal, strict=False))
+    cannot land on a fragment; returns :func:`pending_entries`' map."""
+    return pending_entries(
+        ioutil.recover_jsonl(paths.wal, _parse_wal, strict=False))
 
 
-def wal_pending(paths: FleetPaths) -> dict:
-    """entry -> latest ``begin`` record, for entries with no terminal op."""
-    return _pending(wal_records(paths)[0])
-
-
-def _pending(records: list) -> dict:
+def pending_entries(records: list) -> dict:
+    """entry -> latest ``begin`` record, for entries of the WAL
+    ``records`` with no terminal op."""
     state: dict = {}
     for record in records:
         entry = record.get("entry")
@@ -253,7 +251,7 @@ def wal_checkpoint(paths: FleetPaths) -> int:
     """Compact the WAL down to its unresolved entries; returns records
     dropped.  Always leaves a (possibly empty) WAL file, atomically."""
     records, torn = wal_records(paths)
-    pending = _pending(records)
+    pending = pending_entries(records)
     keep = [record for record in records if record.get("entry") in pending]
     ioutil.rewrite_jsonl(paths.wal, keep)
     return len(records) - len(keep) + torn
@@ -337,11 +335,11 @@ __all__ = [
     "ledger_has",
     "list_aggregates",
     "load_aggregate",
+    "pending_entries",
     "serialize_aggregate",
     "stale_locks",
     "wal_append",
     "wal_checkpoint",
-    "wal_pending",
     "wal_records",
     "wal_recover",
     "window_ledger_has",

@@ -11,10 +11,15 @@ Contracts under test:
 """
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import build_executable, tiny_config
 from repro.analyze import cache as reduction_cache
 from repro.analyze.erprint import main as erprint_main, run_command
@@ -22,6 +27,9 @@ from repro.analyze.fsck import fsck_experiment
 from repro.analyze.reduce import reduce_experiments, reduce_path
 from repro.collect.collector import CollectConfig, collect
 from repro.compiler.program import Program
+from repro.config import scaled_config
+from repro.mcf.instance import encode_instance, generate_instance
+from repro.mcf.workload import build_mcf
 
 SRC = """
 struct rec { long a; long b; long c; long d; };
@@ -252,3 +260,29 @@ class TestJobsWarmRunParity:
         assert self._cache_stats(dirs) == before
         assert erprint_main(dirs + ["--no-cache", "functions"]) == 0
         assert capsys.readouterr().out == warm
+
+
+class TestHashSeedDeterminism:
+    """The cache file is a pure function of the experiment: interpreters
+    with different string-hash seeds write the same bytes."""
+
+    REDUCE = ("import sys; from repro.analyze.reduce import reduce_path; "
+              "reduce_path(sys.argv[1])")
+
+    def test_cache_bytes_do_not_follow_the_hash_seed(self, tmp_path):
+        instance = generate_instance(trips=15, seed=9)
+        directory = tmp_path / "mcf.er"
+        collect(build_mcf(), scaled_config(),
+                CollectConfig(clock_profiling=True, clock_interval=499,
+                              counters=["+ecstall,97", "+ecrm,29"]),
+                input_longs=encode_instance(instance), save_to=str(directory))
+        sources = str(Path(repro.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [sources, os.environ.get("PYTHONPATH")])))
+        written = []
+        for seed in ("1", "2"):
+            reduction_cache.invalidate(directory)
+            subprocess.run([sys.executable, "-c", self.REDUCE, str(directory)],
+                           env=dict(env, PYTHONHASHSEED=seed), check=True)
+            written.append(reduction_cache.cache_path(directory).read_bytes())
+        assert written[0] == written[1]

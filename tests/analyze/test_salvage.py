@@ -8,9 +8,12 @@ still renders the Figure 1/Figure 6 reports under an ``(Incomplete)``
 header.
 """
 
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
-from repro import build_executable, tiny_config
+from repro import build_executable, ioutil, tiny_config
 from repro.analyze.erprint import run_command
 from repro.analyze.fsck import (
     FSCK_NO_EXPERIMENT,
@@ -110,6 +113,22 @@ class TestFsck:
         (saved / "notes.txt").write_text("scratch\n")
         text, _ = fsck_experiment(saved)
         assert "notes.txt" in text
+
+    def test_each_manifest_file_is_hashed_once(self, saved, monkeypatch):
+        """The salvage open reuses fsck's manifest findings instead of
+        checksumming every file a second time."""
+        hashed = Counter()
+        original = ioutil.sha256_file
+
+        def counting(path):
+            hashed[Path(path).name] += 1
+            return original(path)
+
+        monkeypatch.setattr(ioutil, "sha256_file", counting)
+        text, code = fsck_experiment(saved)
+        assert code == FSCK_OK and "status: healthy" in text
+        files = Experiment.read_manifest(saved)["files"]
+        assert hashed == Counter(dict.fromkeys(files, 1))
 
 
 class TestSalvageOpen:

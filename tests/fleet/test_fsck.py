@@ -1,7 +1,9 @@
 """``repro-fleet fsck``: every invariant check and every safe repair."""
 
 import json
+from pathlib import Path
 
+from repro import ioutil
 from repro.fleet import FleetService
 from repro.fleet.fsck import (
     FSCK_NO_FLEET,
@@ -31,6 +33,24 @@ class TestFsckStore:
         text, code = fsck_store(fleet_root)
         assert code == FSCK_OK
         assert "clean" in text
+
+    def test_wal_is_scanned_once(self, fleet_root, fresh_experiments,
+                                 monkeypatch):
+        """The pending map comes from the records already read."""
+        paths = _ingested_root(fleet_root, fresh_experiments)
+        wal_append(paths, {"op": "begin", "entry": "lost-entry",
+                           "sub": "s", "key": ""})
+        scanned = []
+        original = ioutil.scan_jsonl
+
+        def counting(path, *args, **kwargs):
+            scanned.append(Path(path).name)
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(ioutil, "scan_jsonl", counting)
+        text, code = fsck_store(fleet_root)
+        assert code == FSCK_PROBLEMS and "unresolved lost-entry" in text
+        assert scanned.count(paths.wal.name) == 1
 
     def test_orphan_claim_is_reported_and_repaired(self, fleet_root,
                                                    fresh_experiments):

@@ -18,8 +18,8 @@ from repro.fleet.spool import (
 from repro.fleet.store import (
     AggregateKey,
     commit_aggregate,
+    pending_entries,
     wal_append,
-    wal_pending,
     wal_records,
 )
 
@@ -163,7 +163,7 @@ class TestRecoverTornWal:
 
         assert service.recover() == [
             "e1: committed before the crash; finished its cleanup"]
-        assert wal_pending(service.paths) == {}
+        assert pending_entries(wal_records(service.paths)[0]) == {}
         assert wal_records(service.paths) == ([], 0)
 
 

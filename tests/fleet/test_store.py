@@ -15,10 +15,10 @@ from repro.fleet.store import (
     commit_aggregate,
     ledger_has,
     load_aggregate,
+    pending_entries,
     serialize_aggregate,
     wal_append,
     wal_checkpoint,
-    wal_pending,
     wal_records,
     window_ledger_has,
 )
@@ -84,12 +84,12 @@ class TestWal:
         wal_append(paths, {"op": "done", "entry": "e1"})
         records, torn = wal_records(paths)
         assert len(records) == 3 and torn == 0
-        assert list(wal_pending(paths)) == ["e2"]
+        assert list(pending_entries(records)) == ["e2"]
 
         wal_checkpoint(paths)
         records, _torn = wal_records(paths)
         assert [r["entry"] for r in records] == ["e2"]  # e1 resolved away
-        assert list(wal_pending(paths)) == ["e2"]
+        assert list(pending_entries(records)) == ["e2"]
 
     def test_torn_tail_is_tolerated(self, paths):
         wal_append(paths, {"op": "begin", "entry": "e1", "sub": "s1"})
@@ -97,7 +97,7 @@ class TestWal:
             stream.write('{"op": "done", "ent')  # the crash mid-append
         records, torn = wal_records(paths)
         assert len(records) == 1 and torn == 1
-        assert list(wal_pending(paths)) == ["e1"]
+        assert list(pending_entries(records)) == ["e1"]
         wal_checkpoint(paths)  # compaction drops the torn line
         _records, torn = wal_records(paths)
         assert torn == 0
