@@ -14,6 +14,7 @@ Environment knobs:
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import pytest
 
@@ -39,10 +40,32 @@ def machine_config():
     return scaled_config()
 
 
+def unfired(study) -> list:
+    """Requested counters of either pass, and the first pass's clock, that
+    recorded no event."""
+    missing = []
+    for experiment in (study.experiment1, study.experiment2):
+        counts = Counter(event.event for event in experiment.hwc_events)
+        missing += [counter["name"] for counter in experiment.info.counters
+                    if not counts[counter["name"]]]
+    if not study.experiment1.clock_events:
+        missing.append("clock")
+    return missing
+
+
 @pytest.fixture(scope="session")
 def case_study(bench_instance, machine_config):
-    """The paper's two collect runs + merged reduction (runs once)."""
-    return run_case_study(bench_instance, machine_config)
+    """The paper's two collect runs + merged reduction (runs once).
+
+    Fails when a requested counter recorded no event: a figure column
+    built from no samples checks nothing.
+    """
+    study = run_case_study(bench_instance, machine_config)
+    missing = unfired(study)
+    if missing:
+        pytest.fail(f"no events from {', '.join(missing)} on "
+                    f"{BENCH_TRIPS} trips (REPRO_BENCH_TRIPS)")
+    return study
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ Layered public API:
 * ``repro.analyze`` — the ``er_print`` equivalent: trigger-PC validation
   and metrics per function / source line / PC / **data object**;
 * ``repro.mcf`` — the SPEC CPU2000 ``181.mcf`` workload (network simplex)
-  in mini-C, plus a pure-Python reference solver;
+  in mini-C, checked against networkx's min-cost flow;
 * ``repro.layoutopt`` — structure-layout advice from data profiles (§3.3).
 """
 

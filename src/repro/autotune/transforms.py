@@ -151,11 +151,6 @@ def transform_key(transform) -> str:
     return canonical_json(transform_to_dict(transform))
 
 
-def chain_keys(transforms) -> list:
-    """Identity of a whole trial: the ordered list of transform keys."""
-    return [transform_key(t) for t in transforms]
-
-
 __all__ = [
     "StructReorder",
     "StructSplit",
@@ -165,5 +160,4 @@ __all__ = [
     "transform_to_dict",
     "transform_from_dict",
     "transform_key",
-    "chain_keys",
 ]

@@ -39,27 +39,18 @@ def mcf_tunable(trips: int = 150, seed: int = 1,
                 connections: int = 8) -> TunableWorkload:
     """The paper's MCF case study as a tunable workload (baseline layout,
     no hints — the search must rediscover §3.3/§4 on its own)."""
+    from ..mcf.casestudy import counter_passes
     from ..mcf.instance import encode_instance, generate_instance
     from ..mcf.sources import LayoutVariant, mcf_source
 
     instance = generate_instance(
         trips=trips, seed=seed, connections_per_trip=connections
     )
-    # interval scaling mirrors repro.mcf.casestudy: the reference point is
-    # the default 800-trip instance (~7000 arcs)
-    scale = max(instance.m / 7000.0, 0.02)
-
-    def interval(base: int, floor: int) -> int:
-        return max(floor, int(base * scale))
-
     return TunableWorkload(
         name="mcf",
         source=mcf_source(LayoutVariant.BASELINE),
         input_longs=list(encode_instance(instance)),
-        counter_passes=[
-            [f"+ecstall,{interval(4999, 211)}", f"+ecrm,{interval(97, 13)}"],
-            [f"+ecref,{interval(499, 31)}", f"+dtlbm,{interval(29, 5)}"],
-        ],
+        counter_passes=counter_passes(instance),
         meta={"workload": "mcf", "trips": trips, "seed": seed,
               "connections": connections},
     )

@@ -33,6 +33,7 @@ from ..errors import (
 from ..faults import FaultPlan
 from ..machine.counters import EVENTS
 from ..machine.cpu import ENGINES
+from ..parallel import CollectJob, build_workload, collect_many
 from .collector import CollectConfig, collect
 from .schedule import plan_passes
 
@@ -91,23 +92,6 @@ def _parse_counter_list(text: str) -> list:
     if current:
         requests.append(",".join(current))
     return requests
-
-
-def build_workload(args):
-    """Build (program, input_longs) for the requested workload."""
-    if args.workload == "mcf":
-        from ..mcf.instance import encode_instance, generate_instance
-        from ..mcf.sources import LayoutVariant
-        from ..mcf.workload import build_mcf
-
-        instance = generate_instance(trips=args.trips, seed=args.seed)
-        program = build_mcf(LayoutVariant(args.layout))
-        return program, encode_instance(instance)
-    if args.workload == "commercial":
-        from ..workloads import build_commercial, commercial_input
-
-        return build_commercial(), commercial_input(seed=args.seed or 12345)
-    raise ReproError(f"unknown workload {args.workload!r}")
 
 
 def main(argv=None) -> int:
@@ -214,7 +198,9 @@ def main(argv=None) -> int:
         print("collect: --jobs has no effect on a single-pass run",
               file=sys.stderr)
 
-    program, input_longs = build_workload(args)
+    program, input_longs = build_workload(
+        args.workload, args.trips, args.seed, args.layout
+    )
     machine_config = scaled_config()
     if args.cores != 1:
         from dataclasses import replace as dataclass_replace
@@ -267,8 +253,6 @@ def _run_passes(args, counter_sets) -> int:
     """Several ``-h`` flags: one collect pass each, fanned out over
     ``--jobs`` worker processes; clock profiling rides on pass 0 only so
     the merged profile counts each tick once."""
-    from ..parallel import CollectJob, collect_many
-
     outdirs = pass_outdirs(args.outdir, len(counter_sets))
     jobs = [
         CollectJob(
@@ -313,4 +297,4 @@ if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())
 
 
-__all__ = ["main", "build_workload"]
+__all__ = ["main"]

@@ -76,6 +76,18 @@ OPTIONAL_FILES = ("log.txt", "map.txt", "truth.jsonl")
 _encode_line = json.JSONEncoder(separators=(",", ":")).encode
 
 
+#: the types an optional integer field may hold on the wire
+_OPTIONAL_INT = (int, type(None))
+
+
+def _ints(values) -> bool:
+    """True when every value is an ``int`` (a ``bool`` is not one)."""
+    for value in values:
+        if type(value) is not int:
+            return False
+    return True
+
+
 def _normalize_dir(directory) -> Path:
     path = Path(directory)
     if path.suffix != ".er":
@@ -155,14 +167,29 @@ class HwcEvent:
     def from_json(line: str, source: str = "", lineno: int = 0) -> "HwcEvent":
         """Parse one JSON line back into an event.
 
-        Malformed input (bad JSON, missing keys, wrong shapes) raises
-        :class:`ExperimentCorrupt` carrying ``source``/``lineno`` context
-        instead of leaking raw json/KeyError/TypeError.
+        Malformed input (bad JSON, missing keys, wrong shapes, a field of
+        the wrong type) raises :class:`ExperimentCorrupt` carrying
+        ``source``/``lineno`` context instead of leaking raw
+        json/KeyError/TypeError.
         """
         try:
             record = json.loads(line)
             record["callstack"] = tuple(record["callstack"])
-            return HwcEvent(**record)
+            event = HwcEvent(**record)
+            if not (
+                type(event.counter) is type(event.weight)
+                is type(event.trap_pc) is type(event.cycle)
+                is type(event.coalesced) is type(event.scale)
+                is type(event.core) is type(event.thread) is int
+                and type(event.event) is type(event.status)
+                is type(event.ea_reason) is str
+                and type(event.candidate_pc) in _OPTIONAL_INT
+                and type(event.effective_address) in _OPTIONAL_INT
+                and type(event.latency) in _OPTIONAL_INT
+                and _ints(event.callstack)
+            ):
+                raise TypeError("a field has the wrong type")
+            return event
         except (ValueError, KeyError, TypeError, AttributeError) as error:
             raise ExperimentCorrupt(
                 f"bad HWC event: {error}", file=source, line=lineno
@@ -230,7 +257,20 @@ class TruthEvent:
         try:
             record = json.loads(line)
             record["regs"] = tuple(record["regs"])
-            return TruthEvent(**record)
+            event = TruthEvent(**record)
+            if not (
+                type(event.seq) is type(event.counter)
+                is type(event.trap_pc) is type(event.cycle)
+                is type(event.true_trigger_pc) is type(event.true_skid)
+                is type(event.coalesced) is type(event.core)
+                is type(event.thread) is int
+                and type(event.event) is str
+                and type(event.true_effective_address) in _OPTIONAL_INT
+                and type(event.true_latency) in _OPTIONAL_INT
+                and _ints(event.regs)
+            ):
+                raise TypeError("a field has the wrong type")
+            return event
         except (ValueError, KeyError, TypeError, AttributeError) as error:
             raise ExperimentCorrupt(
                 f"bad truth event: {error}", file=source, line=lineno
@@ -266,10 +306,17 @@ class ClockEvent:
         """Parse one JSON line back into an event (see HwcEvent.from_json)."""
         try:
             record = json.loads(line)
-            return ClockEvent(
+            event = ClockEvent(
                 record["pc"], record["cycle"], tuple(record["callstack"]),
                 record.get("core", 0), record.get("thread", 0),
             )
+            if not (
+                type(event.pc) is type(event.cycle) is type(event.core)
+                is type(event.thread) is int
+                and _ints(event.callstack)
+            ):
+                raise TypeError("a field has the wrong type")
+            return event
         except (ValueError, KeyError, TypeError, AttributeError) as error:
             raise ExperimentCorrupt(
                 f"bad clock event: {error}", file=source, line=lineno
@@ -522,11 +569,6 @@ class Experiment:
             self._journal_write("truth.jsonl", truth_event.to_json())
         self.truth_events = []
         return path
-
-    @property
-    def journal_dir(self) -> Optional[Path]:
-        """Where the journal streams to (None when in-memory)."""
-        return self._journal_dir
 
     def _journal_write(self, filename: str, line: str) -> None:
         stream = self._streams.get(filename)

@@ -160,9 +160,4 @@ def insert_prefetches(items: list, hints, function_name: str,
     return out
 
 
-def count_padding_nops(items: list) -> int:
-    """Diagnostic: nops in the stream (tests compare hwcprof on/off)."""
-    return sum(1 for item in items if isinstance(item, Instr) and item.op is Op.NOP)
-
-
-__all__ = ["fill_delay_slots", "apply_hwcprof_padding", "insert_prefetches", "count_padding_nops"]
+__all__ = ["fill_delay_slots", "apply_hwcprof_padding", "insert_prefetches"]

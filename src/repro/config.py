@@ -14,7 +14,7 @@ Two presets matter:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ReproError
 
@@ -107,11 +107,6 @@ class MachineConfig:
             raise ReproError("thread_quantum must be >= 1")
         if self.thread_stack_bytes < 4096:
             raise ReproError("thread_stack_bytes must be >= 4096")
-
-    def with_heap_page_bytes(self, page_bytes: int) -> "MachineConfig":
-        """Convenience for `-xpagesize_heap=...` style experiments."""
-        _require_power_of_two(page_bytes, "heap page size")
-        return replace(self, dtlb=replace(self.dtlb))  # page size is per-segment
 
 
 def paper_config() -> MachineConfig:

@@ -205,11 +205,6 @@ def is_control_transfer(instr: Instr) -> bool:
     return instr.op in _CONTROL
 
 
-def is_alu(instr: Instr) -> bool:
-    """True for register-computation instructions."""
-    return instr.op in _ALU
-
-
 def writes_register(instr: Instr) -> Optional[int]:
     """The register this instruction overwrites, or None.
 
@@ -238,6 +233,5 @@ __all__ = [
     "memop_kind",
     "is_branch",
     "is_control_transfer",
-    "is_alu",
     "writes_register",
 ]

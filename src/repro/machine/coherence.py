@@ -27,8 +27,6 @@ historical ones.
 
 from __future__ import annotations
 
-from typing import Optional
-
 
 class CoherenceDirectory:
     """Shared-E$ line ownership tracking for an N-core machine."""
@@ -118,10 +116,6 @@ class CoherenceDirectory:
         self.owner[line] = core
         self.sharers[line] = {core}
         return penalty
-
-    def owner_of(self, ea: int) -> Optional[int]:
-        """Core currently owning the line containing ``ea`` (or None)."""
-        return self.owner.get(ea >> self.line_shift)
 
 
 __all__ = ["CoherenceDirectory"]

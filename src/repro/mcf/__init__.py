@@ -1,20 +1,17 @@
 """The SPEC CPU2000 ``181.mcf`` workload (Löbel's network simplex).
 
-Three layers:
+Two layers:
 
 * :mod:`repro.mcf.instance` — min-cost-flow instance generation (a
-  vehicle-scheduling-flavoured random network) and the ``mcf.in``-like
-  flat encoding the simulated program parses;
-* :mod:`repro.mcf.reference` — a pure-Python network simplex with the
-  same data structures (pred/child/sibling threaded tree, orientation,
-  basic_arc) used as the golden model, validated against networkx;
+  vehicle-scheduling-flavoured random network), the ``mcf.in``-like
+  flat encoding the simulated program parses, and the networkx optimum
+  the tests check the simulated solver against;
 * :mod:`repro.mcf.sources` — the mini-C port that runs on the simulated
   machine, with the paper's exact ``node``/``arc`` layouts and function
   names, in baseline and §3.3-optimized variants.
 """
 
 from .instance import McfInstance, generate_instance, encode_instance
-from .reference import NetworkSimplex, solve_reference
 from .sources import mcf_source, MCF_DEFINES, LayoutVariant
 from .workload import build_mcf, run_mcf, McfRun
 
@@ -22,8 +19,6 @@ __all__ = [
     "McfInstance",
     "generate_instance",
     "encode_instance",
-    "NetworkSimplex",
-    "solve_reference",
     "mcf_source",
     "MCF_DEFINES",
     "LayoutVariant",

@@ -51,6 +51,28 @@ def default_instance(trips: int = DEFAULT_TRIPS, seed: int = DEFAULT_SEED) -> Mc
     )
 
 
+def _interval(instance: McfInstance, base: int, floor: int) -> int:
+    """An overflow interval scaled to ``instance``.
+
+    The paper's hi/on/lo presets target 550-second runs; a scaled run
+    needs ~10^3-10^4 samples per counter, so intervals scale with the
+    instance (the reference point is the default 800-trip instance, about
+    7000 arcs).
+    """
+    return max(floor, int(base * max(instance.m / 7000.0, 0.02)))
+
+
+def counter_passes(instance: McfInstance) -> list:
+    """The counter lists of the two §3.1 passes, with numeric overflow
+    intervals scaled to ``instance``."""
+    return [
+        [f"+ecstall,{_interval(instance, 4999, 211)}",
+         f"+ecrm,{_interval(instance, 97, 13)}"],
+        [f"+ecref,{_interval(instance, 499, 31)}",
+         f"+dtlbm,{_interval(instance, 29, 5)}"],
+    ]
+
+
 def run_case_study(
     instance: Optional[McfInstance] = None,
     config: Optional[MachineConfig] = None,
@@ -84,31 +106,15 @@ def run_case_study(
     program = build_mcf(variant, hwcprof=True)
     input_longs = encode_instance(instance)
 
-    # Numeric overflow intervals: the paper's hi/on/lo presets target
-    # 550-second runs; a scaled run needs ~10^3-10^4 samples per counter,
-    # so intervals scale with the instance (the reference point is the
-    # default 800-trip instance).
-    scale = max(instance.m / 7000.0, 0.02)
-
-    def interval(base: int, floor: int) -> int:
-        return max(floor, int(base * scale))
-
+    counters1, counters2 = counter_passes(instance)
     config1 = CollectConfig(
         clock_profiling=True,
-        clock_interval=interval(4999, 499),
-        counters=[
-            f"+ecstall,{interval(4999, 211)}",
-            f"+ecrm,{interval(97, 13)}",
-        ],
+        clock_interval=_interval(instance, 4999, 499),
+        counters=counters1,
         name="mcf-exp1",
     )
     config2 = CollectConfig(
-        clock_profiling=False,
-        counters=[
-            f"+ecref,{interval(499, 31)}",
-            f"+dtlbm,{interval(29, 5)}",
-        ],
-        name="mcf-exp2",
+        clock_profiling=False, counters=counters2, name="mcf-exp2",
     )
     if jobs > 1:
         from ..errors import CollectError
@@ -154,6 +160,7 @@ def run_case_study(
 
 __all__ = [
     "CaseStudy",
+    "counter_passes",
     "run_case_study",
     "default_instance",
     "DEFAULT_TRIPS",

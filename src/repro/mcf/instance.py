@@ -4,7 +4,7 @@
 problem.  We generate instances with the same flavour: a set of timetabled
 trips, deadhead arcs between time-compatible trips, and a depot that
 supplies vehicles — then flatten to the generic MCF form (node supplies +
-capacitated arcs) that both solvers read.
+capacitated arcs) that both the simulated program and networkx read.
 
 Encoding (longs, parsed by the mini-C program's ``read_min``)::
 
@@ -133,21 +133,15 @@ def decode_instance(data: list, name: str = "mcf") -> McfInstance:
 
 
 def to_networkx(instance: McfInstance):
-    """Build the networkx digraph for cross-validation."""
+    """Build the networkx multigraph for cross-validation (one edge per
+    arc, so parallel arcs keep their own capacity and cost)."""
     import networkx as nx
 
-    graph = nx.DiGraph()
+    graph = nx.MultiDiGraph()
     for i, supply in enumerate(instance.supplies, start=1):
         graph.add_node(i, demand=-supply)  # networkx demand = -supply
     for tail, head, cap, cost in instance.arcs:
-        if graph.has_edge(tail, head):
-            # networkx DiGraph cannot hold parallel arcs; merge capacity,
-            # keep cheapest cost (generator avoids parallels, but be safe)
-            old = graph[tail][head]
-            old["capacity"] += cap
-            old["weight"] = min(old["weight"], cost)
-        else:
-            graph.add_edge(tail, head, capacity=cap, weight=cost)
+        graph.add_edge(tail, head, capacity=cap, weight=cost)
     return graph
 
 
@@ -155,9 +149,7 @@ def reference_optimal_cost(instance: McfInstance) -> int:
     """Optimal cost via networkx (ground truth for tests)."""
     import networkx as nx
 
-    return nx.cost_of_flow(
-        to_networkx(instance), nx.min_cost_flow(to_networkx(instance))
-    )
+    return nx.min_cost_flow_cost(to_networkx(instance))
 
 
 __all__ = [

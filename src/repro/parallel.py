@@ -76,22 +76,21 @@ class JobResult:
         return not self.error
 
 
-def _job_workload(job: CollectJob):
-    """(program, input_longs) for a job built inside the worker."""
-    if job.program is not None:
-        return job.program, list(job.input_longs)
-    if job.workload == "mcf":
+def build_workload(workload: str, trips: int, seed: int, layout: str):
+    """(program, input_longs) for a named workload: ``mcf`` (``trips``
+    and ``layout`` apply) or ``commercial``."""
+    if workload == "mcf":
         from .mcf.instance import encode_instance, generate_instance
         from .mcf.sources import LayoutVariant
         from .mcf.workload import build_mcf
 
-        instance = generate_instance(trips=job.trips, seed=job.seed)
-        return build_mcf(LayoutVariant(job.layout)), encode_instance(instance)
-    if job.workload == "commercial":
+        instance = generate_instance(trips=trips, seed=seed)
+        return build_mcf(LayoutVariant(layout)), encode_instance(instance)
+    if workload == "commercial":
         from .workloads import build_commercial, commercial_input
 
-        return build_commercial(), commercial_input(seed=job.seed or 12345)
-    raise ReproError(f"unknown workload {job.workload!r}")
+        return build_commercial(), commercial_input(seed=seed or 12345)
+    raise ReproError(f"unknown workload {workload!r}")
 
 
 def run_job(job: CollectJob, index: int = 0) -> JobResult:
@@ -103,7 +102,12 @@ def run_job(job: CollectJob, index: int = 0) -> JobResult:
             from .faults import FaultPlan
 
             fault_plan = FaultPlan.parse(job.fault_plan)
-        program, input_longs = _job_workload(job)
+        if job.program is not None:
+            program, input_longs = job.program, list(job.input_longs)
+        else:
+            program, input_longs = build_workload(
+                job.workload, job.trips, job.seed, job.layout
+            )
         experiment = collect(
             program,
             job.machine or scaled_config(),
@@ -145,8 +149,8 @@ def parallel_map(fn, items: Sequence, parallelism: Optional[int] = None,
                  sleep=time.sleep) -> list:
     """Apply a picklable ``fn`` to every item, results in item order.
 
-    The deterministic fan-out primitive shared by collection, reduction,
-    and fleet ingestion: ``parallelism`` caps the worker count (default:
+    The deterministic fan-out primitive shared by collection and
+    reduction: ``parallelism`` caps the worker count (default:
     one per item up to the host CPU count); 1 — or a host where worker
     processes cannot be spawned — degrades to a sequential in-process
     loop with identical output, because results always come back in item
@@ -228,4 +232,7 @@ def collect_many(
     return parallel_map(_run_indexed, list(enumerate(jobs)), parallelism)
 
 
-__all__ = ["CollectJob", "JobResult", "collect_many", "parallel_map", "run_job"]
+__all__ = [
+    "CollectJob", "JobResult", "build_workload", "collect_many",
+    "parallel_map", "run_job",
+]

@@ -8,6 +8,7 @@ still renders the Figure 1/Figure 6 reports under an ``(Incomplete)``
 header.
 """
 
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -23,7 +24,13 @@ from repro.analyze.fsck import (
 )
 from repro.analyze.reduce import reduce_experiment
 from repro.collect.collector import CollectConfig, collect
-from repro.collect.experiment import Experiment, MANIFEST_NAME
+from repro.collect.experiment import (
+    ClockEvent,
+    Experiment,
+    HwcEvent,
+    MANIFEST_NAME,
+    TruthEvent,
+)
 from repro.errors import ExperimentCorrupt, ExperimentError, SimulatedCrash
 from repro.faults import FaultPlan
 
@@ -77,6 +84,16 @@ def _bitflip(path, offset=100):
     data = bytearray(path.read_bytes())
     data[offset % len(data)] ^= 0xFF
     path.write_bytes(bytes(data))
+
+
+def _retype(path, key, value, index=1):
+    """Set ``key`` of one journal line to a well-formed JSON value of the
+    wrong type."""
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[index])
+    record[key] = value
+    lines[index] = json.dumps(record) + "\n"
+    path.write_text("".join(lines))
 
 
 class TestFsck:
@@ -151,6 +168,40 @@ class TestSalvageOpen:
         assert stats.first_error
         with pytest.raises(ExperimentCorrupt):
             Experiment.open(saved, strict=True)
+
+    def test_wrong_typed_hwc_line_skipped(self, saved):
+        """A line whose field has the wrong type is damage, not data: the
+        reducer must never see it."""
+        _retype(saved / "hwc0.jsonl", "weight", "abc")
+        text, code = fsck_experiment(saved)
+        assert code == FSCK_OK
+        assert "hwc0.jsonl: skipped 1/" in text
+        reduced = reduce_experiment(Experiment.open(saved, strict=False))
+        assert run_command(reduced, "functions", []).startswith("(Incomplete)")
+        with pytest.raises(ExperimentCorrupt):
+            list(ioutil.scan_jsonl(saved / "hwc0.jsonl", HwcEvent.from_json,
+                                   ioutil.ScanStats(), strict=True))
+
+    @pytest.mark.parametrize("name, parse, key, value", [
+        ("hwc0.jsonl", HwcEvent.from_json, "weight", "abc"),
+        ("hwc0.jsonl", HwcEvent.from_json, "counter", True),
+        ("hwc0.jsonl", HwcEvent.from_json, "cycle", 1.0),
+        ("hwc0.jsonl", HwcEvent.from_json, "candidate_pc", "4"),
+        ("hwc0.jsonl", HwcEvent.from_json, "status", 3),
+        ("hwc0.jsonl", HwcEvent.from_json, "callstack", [1, "2"]),
+        ("clock.jsonl", ClockEvent.from_json, "pc", "4"),
+        ("clock.jsonl", ClockEvent.from_json, "callstack", [False]),
+        ("truth.jsonl", TruthEvent.from_json, "true_skid", 2.0),
+        ("truth.jsonl", TruthEvent.from_json, "true_effective_address", "x"),
+        ("truth.jsonl", TruthEvent.from_json, "regs", [0, None]),
+    ])
+    def test_wrong_typed_field_is_corrupt(self, saved, name, parse, key,
+                                          value):
+        path = saved / name
+        parse(path.read_text().splitlines()[1])  # the untouched line parses
+        _retype(path, key, value)
+        with pytest.raises(ExperimentCorrupt, match="wrong type"):
+            parse(path.read_text().splitlines()[1], name, 2)
 
     def test_deleted_optional_files_tolerated(self, saved):
         (saved / "log.txt").unlink()

@@ -1,9 +1,15 @@
-"""Tests for the mini-C MCF port: correctness vs the reference solvers."""
+"""Tests for the mini-C MCF port: hand-computed optima, and correctness
+against the networkx optimum."""
 
+import networkx as nx
 import pytest
 
 from repro.config import scaled_config, tiny_config
-from repro.mcf.instance import generate_instance, reference_optimal_cost
+from repro.mcf.instance import (
+    McfInstance,
+    generate_instance,
+    reference_optimal_cost,
+)
 from repro.mcf.sources import LayoutVariant, mcf_source, parse_mcf_stdout
 from repro.mcf.workload import build_mcf, run_mcf
 from repro.errors import WorkloadError
@@ -114,3 +120,54 @@ class TestExecution:
         assert a is b
         c = build_mcf(LayoutVariant.BASELINE, use_cache=False)
         assert c is not a
+
+
+class TestTinyInstances:
+    """Optima small enough to compute by hand; networkx must agree."""
+
+    @staticmethod
+    def _optimum(program, instance) -> int:
+        run = run_mcf(program, instance, scaled_config())
+        assert run.solved_optimally
+        assert run.flow_cost == reference_optimal_cost(instance)
+        return run.flow_cost
+
+    def test_single_path(self, baseline_program):
+        inst = McfInstance(n=2, supplies=[3, -3], arcs=[(1, 2, 5, 7)])
+        assert self._optimum(baseline_program, inst) == 21
+
+    def test_chooses_cheap_path(self, baseline_program):
+        inst = McfInstance(
+            n=3, supplies=[1, 0, -1],
+            arcs=[(1, 2, 5, 1), (2, 3, 5, 1), (1, 3, 5, 10)],
+        )
+        assert self._optimum(baseline_program, inst) == 2
+
+    def test_capacity_forces_split(self, baseline_program):
+        inst = McfInstance(
+            n=3, supplies=[4, 0, -4],
+            arcs=[(1, 2, 2, 1), (2, 3, 10, 1), (1, 3, 10, 5)],
+        )
+        # 2 units via 1-2-3 (cost 4), 2 units direct (cost 10)
+        assert self._optimum(baseline_program, inst) == 14
+
+    def test_upper_bound_flip(self, baseline_program):
+        # parallel arcs: the cheap one saturates, the rest takes the other
+        inst = McfInstance(
+            n=2, supplies=[5, -5], arcs=[(1, 2, 3, 1), (1, 2, 10, 4)],
+        )
+        assert self._optimum(baseline_program, inst) == 3 + 8
+
+    def test_zero_cost_network(self, baseline_program):
+        inst = McfInstance(n=2, supplies=[1, -1], arcs=[(1, 2, 1, 0)])
+        assert self._optimum(baseline_program, inst) == 0
+
+    def test_infeasible_detected(self, baseline_program):
+        # node 1 cannot reach node 3: its unit and node 3's demand both
+        # stay on artificial arcs
+        inst = McfInstance(n=3, supplies=[1, 0, -1], arcs=[(2, 3, 5, 1)])
+        run = run_mcf(baseline_program, inst, scaled_config())
+        assert run.artificial_flow == 2
+        assert not run.solved_optimally
+        with pytest.raises(nx.NetworkXUnfeasible):
+            reference_optimal_cost(inst)
