@@ -33,7 +33,13 @@ from ..errors import (
 from ..faults import FaultPlan
 from ..machine.counters import EVENTS
 from ..machine.cpu import ENGINES
-from ..parallel import CollectJob, build_workload, collect_many
+from ..parallel import (
+    CollectJob,
+    build_workload,
+    check_workload,
+    collect_many,
+    counter_events,
+)
 from .collector import CollectConfig, collect
 from .schedule import plan_passes
 
@@ -94,6 +100,50 @@ def _parse_counter_list(text: str) -> list:
     return requests
 
 
+#: per event, the ``info.totals`` entry that counts it on the machine
+#: and what that entry counts
+_MACHINE_TOTALS = {
+    "ecstall": ("ec_stall_cycles", "E$ stall cycles"),
+    "ecrm": ("ec_read_misses", "E$ read misses"),
+    "ecref": ("ec_refs", "E$ references"),
+    "dtlbm": ("dtlb_misses", "DTLB misses"),
+    "dcrm": ("dc_read_misses", "D$ read misses"),
+    "insts": ("instructions", "instructions"),
+    "cycles": ("cycles", "cycles"),
+    "cohm": ("coherence_misses", "coherence misses"),
+}
+
+
+def _workload_options(args) -> tuple:
+    """``(trips, layout)`` for the run, refusing options the workload
+    would ignore or could not honour (a :class:`ReproError`)."""
+    if args.workload == "commercial":
+        ignored = [flag for flag, value in (("--trips", args.trips),
+                                            ("--layout", args.layout))
+                   if value is not None]
+        if ignored:
+            raise ReproError(
+                f"--workload commercial does not take {' or '.join(ignored)} "
+                f"(mcf only)"
+            )
+    trips = 150 if args.trips is None else args.trips
+    check_workload(args.workload, trips, args.seed)
+    return trips, args.layout or "baseline"
+
+
+def _warn_empty_counters(events: list, totals: dict) -> None:
+    """One stderr line per requested counter that recorded no event."""
+    for name, interval, recorded in events:
+        if recorded:
+            continue
+        detail = f"interval {interval}"
+        key, noun = _MACHINE_TOTALS.get(name, (None, ""))
+        if key in totals:
+            detail += f"; the run had {totals[key]} {noun}"
+        print(f"collect: warning: {name} recorded no event ({detail})",
+              file=sys.stderr)
+
+
 def main(argv=None) -> int:
     """CLI entry point."""
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -130,10 +180,12 @@ def main(argv=None) -> int:
                              "'reference' is the slow cross-check oracle)")
     parser.add_argument("--workload", default="mcf",
                         choices=["mcf", "commercial"])
-    parser.add_argument("--trips", type=int, default=150)
+    parser.add_argument("--trips", type=int, default=None,
+                        help="MCF instance size (mcf only; default 150)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--layout", default="baseline",
-                        choices=["baseline", "opt_layout"])
+    parser.add_argument("--layout", default=None,
+                        choices=["baseline", "opt_layout"],
+                        help="MCF struct layout (mcf only; default baseline)")
     parser.add_argument("--cores", type=int, default=1, metavar="N",
                         help="simulated cores (threaded workloads; journals "
                              "stay deterministic — the kernel interleave is "
@@ -183,6 +235,7 @@ def main(argv=None) -> int:
                 for counters in counter_sets
                 for split in plan_passes(counters).pass_requests()
             ]
+        trips, layout = _workload_options(args)
     except ReproError as error:
         print(f"collect: {error}", file=sys.stderr)
         return 2
@@ -192,14 +245,14 @@ def main(argv=None) -> int:
             print("collect: --cores is single-pass only; multi-pass runs "
                   "use one core", file=sys.stderr)
             return 2
-        return _run_passes(args, counter_sets)
+        return _run_passes(args, counter_sets, trips, layout)
 
     if args.jobs > 1:
         print("collect: --jobs has no effect on a single-pass run",
               file=sys.stderr)
 
     program, input_longs = build_workload(
-        args.workload, args.trips, args.seed, args.layout
+        args.workload, trips, args.seed, layout
     )
     machine_config = scaled_config()
     if args.cores != 1:
@@ -240,6 +293,7 @@ def main(argv=None) -> int:
     print(f"  {len(experiment.hwc_events)} HW counter events, "
           f"{len(experiment.clock_events)} clock ticks")
     print(f"  target exit code {experiment.info.exit_code}")
+    _warn_empty_counters(counter_events(experiment), experiment.info.totals)
     return 0
 
 
@@ -249,7 +303,7 @@ def pass_outdirs(outdir: str, count: int) -> list[str]:
     return [f"{stem}-p{index}.er" for index in range(count)]
 
 
-def _run_passes(args, counter_sets) -> int:
+def _run_passes(args, counter_sets, trips: int, layout: str) -> int:
     """Several ``-h`` flags: one collect pass each, fanned out over
     ``--jobs`` worker processes; clock profiling rides on pass 0 only so
     the merged profile counts each tick once."""
@@ -265,9 +319,9 @@ def _run_passes(args, counter_sets) -> int:
                 engine=args.engine,
             ),
             workload=args.workload,
-            trips=args.trips,
+            trips=trips,
             seed=args.seed,
-            layout=args.layout,
+            layout=layout,
             heap_page_bytes=args.heap_page_bytes,
             save_to=outdir,
             fault_plan=args.fault_plan,
@@ -282,6 +336,7 @@ def _run_passes(args, counter_sets) -> int:
             print(f"  {result.hwc_events} HW counter events, "
                   f"{result.clock_events} clock ticks")
             print(f"  target exit code {result.exit_code}")
+            _warn_empty_counters(result.counter_events, result.totals)
         else:
             failed += 1
             print(f"collect: pass {result.index} died: {result.error}",

@@ -3,15 +3,16 @@
 The seed interpreter dispatched every instruction through a ~40-arm
 ``if/elif`` chain on :class:`Op`, re-reading ``Instr`` attributes (``rd``,
 ``rs1``, ``rs2``, ``imm``) each time.  This module lowers the text segment
-once, at load time, into a flat list of small tuples::
+once, at load time, into a flat list of fixed-width tuples::
 
-    (kind, operand, operand, ...)
+    (kind, a, b, c)
 
 where *kind* is a dense integer that already encodes the immediate/register
 distinction (even = immediate second operand, odd = register) and the
-operands are bound exactly once.  The CPU hot loop then dispatches on one
-int compare chain ordered by the dynamic opcode mix of the MCF workload
-and never touches an ``Instr`` again.
+operands are bound exactly once, unused slots padded with 0.  Every row
+has the same width so the CPU hot loop unpacks it in one step
+(``k, a, b, c = dec[i]``), dispatches on one int compare chain and never
+touches an ``Instr`` again.
 
 Lowering also performs the cheap strength reductions the per-instruction
 loop paid for on every execution:
@@ -21,6 +22,8 @@ loop paid for on every execution:
   effects); divisions keep their kind because they must still fault on a
   zero divisor.
 * shift immediates are pre-masked with ``& 63``;
+* a ``jmpl %o7 + imm, %g0`` (``retl``) becomes its own kind, ``K_RET``,
+  so only it pops the shadow call stack;
 * an unlinked (string) branch target is rejected here, with the offending
   address in the message, instead of surfacing later as a confusing fetch
   fault.
@@ -34,13 +37,13 @@ and tests):
 
 * rows ``0 .. len(code)-1`` are index-aligned with ``code`` — row ``r``
   models the instruction at ``text_base + 4*r``;
-* row ``len(code)`` is always the ``(K_BAD, None)`` sentinel, and any
-  rows after it are dedicated ``(K_BAD, target)`` fault rows for
-  unrepresentable *static* targets.  Sequential execution that falls off
-  the end of text lands on the sentinel naturally, so no consumer may
+* row ``len(code)`` is always the ``(K_BAD, None, 0, 0)`` sentinel, and
+  any rows after it are dedicated ``(K_BAD, target, 0, 0)`` fault rows
+  for unrepresentable *static* targets.  Sequential execution that falls
+  off the end of text lands on the sentinel naturally, so no consumer may
   bounds-check fetches — they index the table and let K_BAD raise;
 * branch/call targets in rows are *table indices*, never addresses; only
-  ``K_JMPL`` computes a target at run time (the CPU redirects
+  ``K_JMPL``/``K_RET`` compute a target at run time (the CPU redirects
   unrepresentable computed targets to the sentinel and stashes the real
   address in ``bad_pc``).
 """
@@ -77,13 +80,15 @@ K_SMODX_I, K_SMODX_R = 36, 37
 K_BA, K_BE, K_BNE, K_BG, K_BGE, K_BL, K_BLE = 40, 41, 42, 43, 44, 45, 46
 K_CALL = 47
 K_JMPL = 48
-K_TA = 49
-K_HALT = 50
-#: fetch-fault row: ``(K_BAD, pc|None)``.  Row ``len(code)`` of every
-#: dispatch table is ``(K_BAD, None)`` — the fall-off-the-end / computed-
-#: jump sentinel; control transfers whose target cannot be a valid text
-#: index get a dedicated ``(K_BAD, target)`` row appended after it.
-K_BAD = 51
+K_RET = 49  # jmpl %o7 + imm, %g0: also pops the shadow call stack
+K_TA = 50
+K_HALT = 51
+#: fetch-fault row: ``(K_BAD, pc|None, 0, 0)``.  Row ``len(code)`` of
+#: every dispatch table is ``(K_BAD, None, 0, 0)`` — the fall-off-the-end /
+#: computed-jump sentinel; control transfers whose target cannot be a
+#: valid text index get a dedicated ``(K_BAD, target, 0, 0)`` row appended
+#: after it.
+K_BAD = 52
 
 _MEM_KINDS = {
     Op.LDX: K_LDX_I,
@@ -130,14 +135,15 @@ def _target(instr: Instr, pc: int):
 def predecode(code: list[Instr], text_base: int) -> list[tuple]:
     """Lower a linked text segment into the fast interpreter's form.
 
-    Rows ``0 .. len(code)-1`` are index-aligned with ``code``.  Branch and
-    call targets are stored as *table indices*, not addresses, so the hot
-    loop never converts a pc or bounds-checks a fetch: row ``len(code)``
-    is the ``(K_BAD, None)`` sentinel (falling off the end of text lands
-    there naturally), and any static target that is misaligned or outside
-    the text segment becomes a dedicated ``(K_BAD, target)`` row appended
-    behind the sentinel — jumping to it reproduces the exact fetch-fault
-    the per-instruction interpreter would have raised.
+    Every row is ``(kind, a, b, c)``; rows ``0 .. len(code)-1`` are
+    index-aligned with ``code``.  Branch and call targets are stored as
+    *table indices*, not addresses, so the hot loop never converts a pc or
+    bounds-checks a fetch: row ``len(code)`` is the ``(K_BAD, None, 0, 0)``
+    sentinel (falling off the end of text lands there naturally), and any
+    static target that is misaligned or outside the text segment becomes
+    a dedicated ``(K_BAD, target, 0, 0)`` row appended behind the sentinel
+    — jumping to it reproduces the exact fetch-fault the per-instruction
+    interpreter would have raised.
     """
     decoded: list[tuple] = []
     ncode = len(code)
@@ -153,65 +159,66 @@ def predecode(code: list[Instr], text_base: int) -> list[tuple]:
             bad_rows[target] = row
         return row
 
+    nop = (K_NOP, 0, 0, 0)
     pc = text_base
     for instr in code:
         op = instr.op
-        rs2 = instr.rs2
+        rd, rs1, rs2 = instr.rd, instr.rs1, instr.rs2
         kind = _MEM_KINDS.get(op)
         if kind is not None:
             if rs2 is None:
-                entry = (kind, instr.rd, instr.rs1, instr.imm)
+                entry = (kind, rd, rs1, instr.imm)
             else:
-                entry = (kind + 1, instr.rd, instr.rs1, rs2)
+                entry = (kind + 1, rd, rs1, rs2)
         elif op is Op.SET:
-            entry = (K_SET, instr.rd, instr.imm) if instr.rd else (K_NOP,)
+            entry = (K_SET, rd, instr.imm, 0) if rd else nop
         elif op is Op.MOV:
-            entry = (K_MOV, instr.rd, instr.rs1) if instr.rd else (K_NOP,)
+            entry = (K_MOV, rd, rs1, 0) if rd else nop
         elif op is Op.NOP:
-            entry = (K_NOP,)
+            entry = nop
         elif op is Op.CMP:
             if rs2 is None:
-                entry = (K_CMP_I, instr.rs1, instr.imm)
+                entry = (K_CMP_I, rs1, instr.imm, 0)
             else:
-                entry = (K_CMP_R, instr.rs1, rs2)
+                entry = (K_CMP_R, rs1, rs2, 0)
         elif op in _ALU_KINDS:
-            if not instr.rd:
-                entry = (K_NOP,)
+            if not rd:
+                entry = nop
             elif rs2 is None:
-                entry = (_ALU_KINDS[op], instr.rd, instr.rs1, instr.imm)
+                entry = (_ALU_KINDS[op], rd, rs1, instr.imm)
             else:
-                entry = (_ALU_KINDS[op] + 1, instr.rd, instr.rs1, rs2)
+                entry = (_ALU_KINDS[op] + 1, rd, rs1, rs2)
         elif op in _SHIFT_KINDS:
-            if not instr.rd:
-                entry = (K_NOP,)
+            if not rd:
+                entry = nop
             elif rs2 is None:
-                entry = (_SHIFT_KINDS[op], instr.rd, instr.rs1, instr.imm & 63)
+                entry = (_SHIFT_KINDS[op], rd, rs1, instr.imm & 63)
             else:
-                entry = (_SHIFT_KINDS[op] + 1, instr.rd, instr.rs1, rs2)
+                entry = (_SHIFT_KINDS[op] + 1, rd, rs1, rs2)
         elif op in _DIV_KINDS:
             # kept even for rd == %g0: must still fault on division by zero
             if rs2 is None:
-                entry = (_DIV_KINDS[op], instr.rd, instr.rs1, instr.imm)
+                entry = (_DIV_KINDS[op], rd, rs1, instr.imm)
             else:
-                entry = (_DIV_KINDS[op] + 1, instr.rd, instr.rs1, rs2)
+                entry = (_DIV_KINDS[op] + 1, rd, rs1, rs2)
         elif op in _BRANCH_KINDS:
-            entry = (_BRANCH_KINDS[op], _tindex(_target(instr, pc)))
+            entry = (_BRANCH_KINDS[op], _tindex(_target(instr, pc)), 0, 0)
         elif op is Op.CALL:
-            entry = (K_CALL, _tindex(_target(instr, pc)))
+            entry = (K_CALL, _tindex(_target(instr, pc)), 0, 0)
         elif op is Op.JMPL:
-            is_ret = instr.rd == REG_G0 and instr.rs1 == REG_RA
-            entry = (K_JMPL, instr.rd, instr.rs1, instr.imm, is_ret)
+            kind = K_RET if rd == REG_G0 and rs1 == REG_RA else K_JMPL
+            entry = (kind, rd, rs1, instr.imm)
         elif op is Op.TA:
-            entry = (K_TA, instr.imm)
+            entry = (K_TA, instr.imm, 0, 0)
         elif op is Op.HALT:
-            entry = (K_HALT,)
+            entry = (K_HALT, 0, 0, 0)
         else:
             raise IsaError(f"cannot predecode op {op!r} at 0x{pc:x}")
         decoded.append(entry)
         pc += 4
-    decoded.append((K_BAD, None))
+    decoded.append((K_BAD, None, 0, 0))
     for target in bad_rows:  # insertion order matches assigned row indices
-        decoded.append((K_BAD, target))
+        decoded.append((K_BAD, target, 0, 0))
     return decoded
 
 

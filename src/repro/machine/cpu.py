@@ -16,18 +16,22 @@ Two execution engines share this model (DESIGN.md §11); ``ENGINES``
 names them:
 
 * ``engine="fast"`` (default) runs the predecoded dispatch table from
-  :mod:`repro.isa.decode` with a **batched overflow countdown**: instead
-  of two ``counters.record()`` calls plus a pending-trap list walk per
-  retired instruction, the loop computes how many instructions can retire
-  before *anything* observable can happen (counter overflow, trap
-  delivery, clock tick, watchdog/kill deadline, budget exhaustion) and
-  runs that many iterations touching only one local integer.  Any event
-  that breaks the "every instruction costs exactly ``base_cycles``"
-  assumption (a cache/TLB miss charging extra cycles, a trap being armed,
-  a kernel service) zeroes the countdown so the checkpoint runs at that
-  very instruction.  The checkpoint then performs the bookkeeping in the
-  exact order the per-instruction loop used, which keeps RNG draws, trap
-  timing and therefore whole profiles bit-identical (see DESIGN.md).
+  :mod:`repro.isa.decode` — fixed-width ``(kind, a, b, c)`` rows, unpacked
+  in one step and dispatched by a compare chain in the measured dynamic
+  mix of MCF — with a **batched overflow countdown**: instead of two
+  ``counters.record()`` calls plus a pending-trap list walk per retired
+  instruction, the loop computes how many instructions can retire before
+  *anything* observable can happen (counter overflow, trap delivery,
+  clock tick, watchdog/kill deadline, budget exhaustion) and runs that
+  many iterations with no bookkeeping: the arms do not touch
+  ``instr_count`` or ``cycles``, and the batch settles both once when it
+  ends.  Any event that breaks the "every instruction costs exactly
+  ``base_cycles``" assumption (a cache/TLB miss charging extra cycles, a
+  trap being armed, a kernel service) ends the batch so the checkpoint
+  runs right after that very instruction.  The checkpoint then performs
+  the bookkeeping in the exact order the per-instruction loop used, and
+  only for what is armed, which keeps RNG draws, trap timing and
+  therefore whole profiles bit-identical (see DESIGN.md).
 * ``engine="reference"`` (:mod:`repro.machine.cpu_reference`) keeps the
   seed-style per-instruction loop — the cross-check oracle for golden
   profile tests and the baseline for throughput benchmarks.
@@ -52,11 +56,16 @@ Invariants every engine must preserve:
   read ``trap[6]`` only when present.  All engines share the format, so
   single-stepping and engine switches between runs agree.
 * **K_BAD sentinel rows.**  The predecode table ends with a
-  ``(K_BAD, None)`` sentinel at index ``ncode`` and appends dedicated
-  ``(K_BAD, target)`` rows for statically invalid branch targets, so
-  dispatch loops index without bounds checks; an engine reaching such a
-  row must raise :class:`IllegalInstruction` with the *original* bad
-  address (``bad_pc`` for dynamically computed ones).
+  ``(K_BAD, None, 0, 0)`` sentinel at index ``ncode`` and appends
+  dedicated ``(K_BAD, target, 0, 0)`` rows for statically invalid branch
+  targets, so dispatch loops index without bounds checks; an engine
+  reaching such a row must raise :class:`IllegalInstruction` with the
+  *original* bad address (``bad_pc`` for dynamically computed ones).
+* **Observers see flushed state.**  The fast loop tallies D$ and DTLB
+  MRU hits in locals; it adds them to the units before every overflow
+  handler, clock handler and kernel service runs, and when ``run``
+  returns or raises, so ``machine.stats()`` read by any observer matches
+  the per-instruction loop.
 """
 
 from __future__ import annotations
@@ -309,7 +318,7 @@ class CPU:
 
         # D$ and DTLB most-recently-used fast paths: a hit on the MRU entry
         # causes no LRU movement and no state change, so it can be tested
-        # inline and tallied in a local, flushed at every checkpoint.
+        # inline and tallied in a local, flushed before every observer.
         dc_shift = dcache.line_shift
         dc_mask = dcache.set_mask
         dc_sets = dcache.sets
@@ -337,6 +346,7 @@ class CPU:
         w_brm = watching.get("brm")
         w_cohm = watching.get("cohm")
         track_br = w_br is not None or w_brm is not None
+        count_retired = w_insts is not None or w_cycles is not None
 
         pc = self.pc
         npc = self.npc
@@ -358,17 +368,30 @@ class CPU:
         K_SRAX_I, K_SRAX_R = D.K_SRAX_I, D.K_SRAX_R
         K_BA, K_BE, K_BNE = D.K_BA, D.K_BE, D.K_BNE
         K_BG, K_BGE, K_BL, K_BLE = D.K_BG, D.K_BGE, D.K_BL, D.K_BLE
-        K_CALL, K_JMPL, K_TA, K_HALT = D.K_CALL, D.K_JMPL, D.K_TA, D.K_HALT
-        K_BAD = D.K_BAD
+        K_CALL, K_JMPL, K_RET = D.K_CALL, D.K_JMPL, D.K_RET
+        K_TA, K_HALT, K_BAD = D.K_TA, D.K_HALT, D.K_BAD
 
         budget = -1 if max_instructions is None else max_instructions
-        kill_at = self.kill_at_cycle
         start_count = instr_count
         flushed_insts = instr_count
         flushed_cycles = cycles
 
         if self.halted or budget == 0:
             return 0
+
+        # The deadlines, folded: one cycle stop (kill point or cycle
+        # watchdog) and two instruction stops (the watchdog raises, the
+        # budget stops quietly); _BIG stands for "not armed".
+        kill_at = self.kill_at_cycle
+        cycle_stop = min(_BIG if kill_at is None else kill_at,
+                         _BIG if max_cycles is None else max_cycles)
+        watch_stop = (_BIG if watchdog_instructions is None
+                      else watchdog_instructions)
+        budget_stop = start_count + budget if budget >= 0 else _BIG
+        insts_limit = min(watch_stop, budget_stop)
+        clock_interval = self.clock_interval_cycles
+        tick = self.next_clock_tick if clock_interval else _BIG
+        cycles_limit = min(tick, cycle_stop)
 
         # The loop runs in *index space*: ``i``/``ni`` are dispatch-table
         # rows standing in for pc/npc (pc == text_base + 4*i), so the hot
@@ -415,117 +438,36 @@ class CPU:
                     armed = True
             return armed
 
-        countdown = 0
+        def publish(row, nrow, bad, cyc, icount, ecstall, tlb, dcr, dcw):
+            # An observer (trap or clock handler, kernel service) is about
+            # to run: hand the shared state the loop's locals, the batched
+            # MRU hit tallies included (the caller zeroes its tallies).
+            # Returns the next-to-issue pc.
+            pc = tb + (row << 2)
+            self.pc = pc
+            self.npc = (
+                bad if nrow == ncode and bad is not None else tb + (nrow << 2)
+            )
+            self.cycles, self.instr_count = cyc, icount
+            self.ecstall_cycles = ecstall
+            dtlb.refs += tlb
+            dcache.read_refs += dcr
+            dcache.write_refs += dcw
+            return pc
+
         brk = False
-        fresh = True
+        in_batch = False
         try:
             while True:
-                # ---- checkpoint: the only place observable bookkeeping
-                # happens; the countdown guarantees it runs at exactly the
-                # instructions where the per-instruction loop would have
-                # overflowed a counter, delivered a trap, ticked the clock
-                # or hit a deadline.
-                if not fresh:
-                    pc = tb + (i << 2)
-                    npc = (
-                        bad_pc
-                        if ni == ncode and bad_pc is not None
-                        else tb + (ni << 2)
-                    )
-                    if tlb_hits:
-                        dtlb.refs += tlb_hits
-                        tlb_hits = 0
-                    if dc_read_hits:
-                        dcache.read_refs += dc_read_hits
-                        dc_read_hits = 0
-                    if dc_write_hits:
-                        dcache.write_refs += dc_write_hits
-                        dc_write_hits = 0
-                    if w_insts is not None:
-                        n = instr_count - flushed_insts
-                        if n:
-                            skid = record(w_insts, n)
-                            if skid >= 0:
-                                pending.append(
-                                    [instr_count + skid, w_insts, skid, pc,
-                                     counters.last_coalesced, None]
-                                )
-                    if w_cycles is not None:
-                        n = cycles - flushed_cycles
-                        if n:
-                            skid = record(w_cycles, n)
-                            if skid >= 0:
-                                pending.append(
-                                    [instr_count + skid, w_cycles, skid, pc,
-                                     counters.last_coalesced, None]
-                                )
-                    flushed_insts = instr_count
-                    flushed_cycles = cycles
-                    if pending:
-                        due = None
-                        for trap in pending:
-                            if trap[0] <= instr_count:
-                                if due is None:
-                                    due = []
-                                due.append(trap)
-                        if due:
-                            handler = self.overflow_handler
-                            # sync state so snapshot sees next-to-issue PC
-                            self.pc, self.npc = pc, npc
-                            self.cycles, self.instr_count = cycles, instr_count
-                            self.ecstall_cycles = ecstall_total
-                            for trap in due:
-                                pending.remove(trap)
-                                if handler is not None:
-                                    handler(
-                                        self.snapshot(
-                                            trap[1], trap[2], trap[3], trap[4],
-                                            trap[5],
-                                            trap[6] if len(trap) > 6 else None,
-                                        )
-                                    )
-                    if self.clock_interval_cycles and cycles >= self.next_clock_tick:
-                        handler2 = self.clock_handler
-                        self.pc, self.npc = pc, npc
-                        self.cycles, self.instr_count = cycles, instr_count
-                        self.ecstall_cycles = ecstall_total
-                        while self.next_clock_tick <= cycles:
-                            self.next_clock_tick += self.clock_interval_cycles
-                            if handler2 is not None:
-                                handler2(pc, cycles, tuple(callstack))
-                    # deadlines fire only after the retired instruction's
-                    # events are fully counted (partial experiments must
-                    # agree with machine.stats() ground truth)
-                    if kill_at is not None and cycles >= kill_at:
-                        raise SimulatedCrash(
-                            f"injected kill at cycle {cycles} (pc 0x{pc:x})"
-                        )
-                    if max_cycles is not None and cycles >= max_cycles:
-                        raise WatchdogExpired(
-                            f"cycle watchdog: {cycles} >= {max_cycles} "
-                            f"(pc 0x{pc:x})"
-                        )
-                    if (
-                        watchdog_instructions is not None
-                        and instr_count >= watchdog_instructions
-                    ):
-                        raise WatchdogExpired(
-                            f"instruction watchdog: {instr_count} >= "
-                            f"{watchdog_instructions} (pc 0x{pc:x})"
-                        )
-                    if self.halted:
-                        break
-                    if budget >= 0 and instr_count - start_count >= budget:
-                        break
-                fresh = False
-
                 # ---- how many instructions may retire before the next
                 # possible observable event, assuming every one costs
                 # exactly base_cycles (any instruction that violates the
-                # assumption zeroes the countdown when it happens)
-                nxt = _BIG
+                # assumption breaks the batch when it happens)
+                nxt = insts_limit - instr_count
                 if w_insts is not None:
-                    nxt = remaining[w_insts]
+                    v = remaining[w_insts]
+                    if v < nxt:
+                        nxt = v
                 if w_cycles is not None:
                     v = -(-remaining[w_cycles] // base_cycles)
                     if v < nxt:
@@ -534,41 +476,32 @@ class CPU:
                     v = min(trap[0] for trap in pending) - instr_count
                     if v < nxt:
                         nxt = v
-                if self.clock_interval_cycles:
-                    v = -(-(self.next_clock_tick - cycles) // base_cycles)
+                if cycles_limit < _BIG:
+                    v = -(-(cycles_limit - cycles) // base_cycles)
                     if v < nxt:
                         nxt = v
-                if kill_at is not None:
-                    v = -(-(kill_at - cycles) // base_cycles)
-                    if v < nxt:
-                        nxt = v
-                if max_cycles is not None:
-                    v = -(-(max_cycles - cycles) // base_cycles)
-                    if v < nxt:
-                        nxt = v
-                if watchdog_instructions is not None:
-                    v = watchdog_instructions - instr_count
-                    if v < nxt:
-                        nxt = v
-                if budget >= 0:
-                    v = budget - (instr_count - start_count)
-                    if v < nxt:
-                        nxt = v
-                countdown = nxt if nxt > 0 else 1
 
-                # ---- hot loop: dispatch chain ordered by the dynamic
-                # opcode mix of the MCF workload.  Every arm retires
-                # inline (``i = ni; ni += 1`` or the branch target), so
-                # straight-line instructions never materialise a "next
-                # pc" temporary; any arm that broke the base-cycles
-                # assumption sets ``brk`` (or breaks directly) so the
-                # checkpoint runs at this very instruction.
-                for _ in range(countdown):
-                    e = dec[i]
-                    k = e[0]
+                # ---- the batch: dispatch chain in the measured dynamic
+                # mix of one pipebench MCF pass (859,500 instructions):
+                # LDX 18.9%, SET 17.4%, NOP 10.2%, ADD_R 7.3%, MOV 6.6%,
+                # STX 6.4%, MULX_R 5.1%, CMP_R 4.4%, ADD_I 4.4%, CMP_I 4.2%,
+                # BA 3.0%, BGE 2.9%, BL 1.9%, BNE 1.8%, SUB_R 1.1%,
+                # SLLX_I 1.0%, BG 0.7%, BLE 0.6%, BE 0.6%, SUB_I 0.3%,
+                # CALL 0.3%, RET 0.3%, SDIVX 0.1%; the rest never run.
+                # Arms retire inline (``i = ni; ni += 1`` or the branch
+                # target) and leave ``instr_count``/``cycles`` alone: after
+                # ``step`` retired instructions the live counts are
+                # ``instr_count + step`` and ``cycles + step * base_cycles``
+                # (``cycles`` already holds the batch's extra penalties),
+                # and the batch settles both once when it ends.  An arm
+                # that broke the base-cycles assumption or armed a trap
+                # sets ``brk`` (or breaks directly) so the checkpoint runs
+                # right after it.
+                in_batch = True
+                for step in range(nxt if nxt > 0 else 1):
+                    k, a, b, c = dec[i]
                     if k < 4:  # LDX / LDUB
-                        o = e[3]
-                        ea = regs[e[2]] + (regs[o] if k & 1 else o)
+                        ea = regs[b] + (regs[c] if k & 1 else c)
                         lcyc = cycles
                         # DTLB
                         if seg_base <= ea < seg_end and (ea >> seg_shift) == mru_page:
@@ -581,8 +514,8 @@ class CPU:
                                     skid = record(w_dtlbm, 1)
                                     if skid >= 0:
                                         pending.append(
-                                            [instr_count + 1 + skid, w_dtlbm,
-                                             skid, tb + (i << 2),
+                                            [instr_count + step + 1 + skid,
+                                             w_dtlbm, skid, tb + (i << 2),
                                              counters.last_coalesced, ea]
                                         )
                             seg = dtlb._seg_cache
@@ -608,7 +541,7 @@ class CPU:
                                         skid = record(w_cohm, 1)
                                         if skid >= 0:
                                             pending.append(
-                                                [instr_count + 1 + skid,
+                                                [instr_count + step + 1 + skid,
                                                  w_cohm, skid, tb + (i << 2),
                                                  counters.last_coalesced, ea]
                                             )
@@ -616,8 +549,8 @@ class CPU:
                                 skid = record(w_dcrm, 1)
                                 if skid >= 0:
                                     pending.append(
-                                        [instr_count + 1 + skid, w_dcrm, skid,
-                                         tb + (i << 2),
+                                        [instr_count + step + 1 + skid, w_dcrm,
+                                         skid, tb + (i << 2),
                                          counters.last_coalesced, ea]
                                     )
                             cycles += ec_hit_cycles
@@ -625,8 +558,8 @@ class CPU:
                                 skid = record(w_ecref, 1)
                                 if skid >= 0:
                                     pending.append(
-                                        [instr_count + 1 + skid, w_ecref, skid,
-                                         tb + (i << 2),
+                                        [instr_count + step + 1 + skid, w_ecref,
+                                         skid, tb + (i << 2),
                                          counters.last_coalesced, ea]
                                     )
                             if not ecache.access(ea, False):
@@ -637,31 +570,33 @@ class CPU:
                                     skid = record(w_ecrm, 1)
                                     if skid >= 0:
                                         pending.append(
-                                            [instr_count + 1 + skid, w_ecrm,
-                                             skid, tb + (i << 2),
+                                            [instr_count + step + 1 + skid,
+                                             w_ecrm, skid, tb + (i << 2),
                                              counters.last_coalesced, ea]
                                         )
                                 if w_ecstall is not None:
                                     skid = record(w_ecstall, ec_miss_cycles)
                                     if skid >= 0:
                                         pending.append(
-                                            [instr_count + 1 + skid, w_ecstall,
-                                             skid, tb + (i << 2),
+                                            [instr_count + step + 1 + skid,
+                                             w_ecstall, skid, tb + (i << 2),
                                              counters.last_coalesced, ea]
                                         )
                         if inflight:
                             # a software prefetch may still be fetching this
                             # line: the demand load waits for the remainder
+                            now = lcyc + step * base_cycles
                             ready = inflight.pop(ea >> ec_line_shift, None)
-                            if ready is not None and not full_miss and ready > lcyc:
-                                wait = ready - lcyc
+                            if ready is not None and not full_miss and ready > now:
+                                wait = ready - now
                                 cycles += wait
                                 ecstall_total += wait
                                 brk = True
                             if inflight:
                                 # expire fetches that completed in the past
+                                now = cycles + step * base_cycles
                                 stale = [
-                                    ln for ln, r in inflight.items() if r <= cycles
+                                    ln for ln, r in inflight.items() if r <= now
                                 ]
                                 for ln in stale:
                                     del inflight[ln]
@@ -678,15 +613,14 @@ class CPU:
                             if widx < 0 or widx >= nwords:
                                 raise MemoryFault(ea)
                             value = (words[widx] >> ((ea & 7) << 3)) & 0xFF
-                        rd = e[1]
-                        if rd:
-                            regs[rd] = value
+                        if a:
+                            regs[a] = value
                         if w_ldbytes is not None:
                             skid = record(w_ldbytes, 8 if k < 2 else 1)
                             if skid >= 0:
                                 pending.append(
-                                    [instr_count + 1 + skid, w_ldbytes, skid,
-                                     tb + (i << 2),
+                                    [instr_count + step + 1 + skid, w_ldbytes,
+                                     skid, tb + (i << 2),
                                      counters.last_coalesced, ea]
                                 )
                                 brk = True
@@ -697,62 +631,37 @@ class CPU:
                                 # load consumed (miss penalties, prefetch
                                 # waits) plus its base issue cost
                                 pending.append(
-                                    [instr_count + 1 + skid, w_ldlat, skid,
-                                     tb + (i << 2), counters.last_coalesced,
-                                     ea, cycles - lcyc + base_cycles]
+                                    [instr_count + step + 1 + skid, w_ldlat,
+                                     skid, tb + (i << 2),
+                                     counters.last_coalesced, ea,
+                                     cycles - lcyc + base_cycles]
                                 )
                                 brk = True
-                        instr_count += 1
-                        cycles += base_cycles
                         i = ni
                         ni += 1
                         if brk:
                             brk = False
                             break
                     elif k == K_SET:
-                        regs[e[1]] = e[2]
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_ADD_R:
-                        value = regs[e[2]] + regs[e[3]]
-                        if value > _S64_MAX or value < _S64_MIN:
-                            value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                        regs[e[1]] = value
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_ADD_I:
-                        value = regs[e[2]] + e[3]
-                        if value > _S64_MAX or value < _S64_MIN:
-                            value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                        regs[e[1]] = value
-                        instr_count += 1
-                        cycles += base_cycles
+                        regs[a] = b
                         i = ni
                         ni += 1
                     elif k == K_NOP:
-                        instr_count += 1
-                        cycles += base_cycles
                         i = ni
                         ni += 1
-                    elif k == K_CMP_R:
-                        cc = regs[e[1]] - regs[e[2]]
-                        instr_count += 1
-                        cycles += base_cycles
+                    elif k == K_ADD_R:
+                        value = regs[b] + regs[c]
+                        if value > _S64_MAX or value < _S64_MIN:
+                            value = ((value - _S64_MIN) & _U64M) + _S64_MIN
+                        regs[a] = value
                         i = ni
                         ni += 1
-                    elif k == K_CMP_I:
-                        cc = regs[e[1]] - e[2]
-                        instr_count += 1
-                        cycles += base_cycles
+                    elif k == K_MOV:
+                        regs[a] = regs[b]
                         i = ni
                         ni += 1
                     elif k < 8:  # STX / STB
-                        o = e[3]
-                        ea = regs[e[2]] + (regs[o] if k & 1 else o)
+                        ea = regs[b] + (regs[c] if k & 1 else c)
                         if seg_base <= ea < seg_end and (ea >> seg_shift) == mru_page:
                             tlb_hits += 1
                         else:
@@ -763,8 +672,8 @@ class CPU:
                                     skid = record(w_dtlbm, 1)
                                     if skid >= 0:
                                         pending.append(
-                                            [instr_count + 1 + skid, w_dtlbm,
-                                             skid, tb + (i << 2),
+                                            [instr_count + step + 1 + skid,
+                                             w_dtlbm, skid, tb + (i << 2),
                                              counters.last_coalesced, ea]
                                         )
                             seg = dtlb._seg_cache
@@ -783,8 +692,8 @@ class CPU:
                                     skid = record(w_cohm, 1)
                                     if skid >= 0:
                                         pending.append(
-                                            [instr_count + 1 + skid, w_cohm,
-                                             skid, tb + (i << 2),
+                                            [instr_count + step + 1 + skid,
+                                             w_cohm, skid, tb + (i << 2),
                                              counters.last_coalesced, ea]
                                         )
                         line = ea >> dc_shift
@@ -802,8 +711,8 @@ class CPU:
                                 skid = record(w_ecref, 1)
                                 if skid >= 0:
                                     pending.append(
-                                        [instr_count + 1 + skid, w_ecref, skid,
-                                         tb + (i << 2),
+                                        [instr_count + step + 1 + skid, w_ecref,
+                                         skid, tb + (i << 2),
                                          counters.last_coalesced, ea]
                                     )
                             ecache.access(ea, True)
@@ -812,8 +721,9 @@ class CPU:
                             # its line; completed fetches are dropped too
                             inflight.pop(ea >> ec_line_shift, None)
                             if inflight:
+                                now = cycles + step * base_cycles
                                 stale = [
-                                    ln for ln, r in inflight.items() if r <= cycles
+                                    ln for ln, r in inflight.items() if r <= now
                                 ]
                                 for ln in stale:
                                     del inflight[ln]
@@ -823,7 +733,7 @@ class CPU:
                             widx = (ea - mem_base) >> 3
                             if widx < 0 or widx >= nwords:
                                 raise MemoryFault(ea)
-                            words[widx] = regs[e[1]]
+                            words[widx] = regs[a]
                         else:  # STB
                             widx = (ea - mem_base) >> 3
                             if widx < 0 or widx >= nwords:
@@ -831,7 +741,7 @@ class CPU:
                             shift = (ea & 7) << 3
                             word = words[widx] & _U64M
                             word = (word & ~(0xFF << shift)) | (
-                                (regs[e[1]] & 0xFF) << shift
+                                (regs[a] & 0xFF) << shift
                             )
                             if word > _S64_MAX:
                                 word -= _U64
@@ -840,198 +750,171 @@ class CPU:
                             skid = record(w_stbytes, 8 if k < 6 else 1)
                             if skid >= 0:
                                 pending.append(
-                                    [instr_count + 1 + skid, w_stbytes, skid,
-                                     tb + (i << 2),
+                                    [instr_count + step + 1 + skid, w_stbytes,
+                                     skid, tb + (i << 2),
                                      counters.last_coalesced, ea]
                                 )
                                 brk = True
-                        instr_count += 1
-                        cycles += base_cycles
                         i = ni
                         ni += 1
-                        if brk:
-                            brk = False
-                            break
-                    elif k == K_MOV:
-                        regs[e[1]] = regs[e[2]]
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
-                    elif k == K_BGE:
-                        if track_br and note_br(
-                            (cc >= 0) != btfn_backward(e[1], i), i, instr_count
-                        ):
-                            brk = True
-                        if cc >= 0:
-                            i = ni
-                            ni = e[1]
-                        else:
-                            i = ni
-                            ni += 1
-                        instr_count += 1
-                        cycles += base_cycles
-                        if brk:
-                            brk = False
-                            break
-                    elif k == K_BA:
-                        if track_br and note_br(False, i, instr_count):
-                            brk = True
-                        i = ni
-                        ni = e[1]
-                        instr_count += 1
-                        cycles += base_cycles
                         if brk:
                             brk = False
                             break
                     elif k == K_MULX_R:
-                        value = regs[e[2]] * regs[e[3]]
+                        value = regs[b] * regs[c]
                         if value > _S64_MAX or value < _S64_MIN:
                             value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                        regs[e[1]] = value
-                        instr_count += 1
-                        cycles += base_cycles
+                        regs[a] = value
                         i = ni
                         ni += 1
-                    elif k == K_BL:
+                    elif k == K_CMP_R:
+                        cc = regs[a] - regs[b]
+                        i = ni
+                        ni += 1
+                    elif k == K_ADD_I:
+                        value = regs[b] + c
+                        if value > _S64_MAX or value < _S64_MIN:
+                            value = ((value - _S64_MIN) & _U64M) + _S64_MIN
+                        regs[a] = value
+                        i = ni
+                        ni += 1
+                    elif k == K_CMP_I:
+                        cc = regs[a] - b
+                        i = ni
+                        ni += 1
+                    elif k == K_BA:
+                        if track_br and note_br(False, i, instr_count + step):
+                            brk = True
+                        i = ni
+                        ni = a
+                        if brk:
+                            brk = False
+                            break
+                    elif k == K_BGE:
                         if track_br and note_br(
-                            (cc < 0) != btfn_backward(e[1], i), i, instr_count
+                            (cc >= 0) != btfn_backward(a, i), i,
+                            instr_count + step,
                         ):
                             brk = True
-                        if cc < 0:
-                            i = ni
-                            ni = e[1]
+                        i = ni
+                        if cc >= 0:
+                            ni = a
                         else:
-                            i = ni
                             ni += 1
-                        instr_count += 1
-                        cycles += base_cycles
+                        if brk:
+                            brk = False
+                            break
+                    elif k == K_BL:
+                        if track_br and note_br(
+                            (cc < 0) != btfn_backward(a, i), i,
+                            instr_count + step,
+                        ):
+                            brk = True
+                        i = ni
+                        if cc < 0:
+                            ni = a
+                        else:
+                            ni += 1
                         if brk:
                             brk = False
                             break
                     elif k == K_BNE:
                         if track_br and note_br(
-                            (cc != 0) != btfn_backward(e[1], i), i, instr_count
+                            (cc != 0) != btfn_backward(a, i), i,
+                            instr_count + step,
                         ):
                             brk = True
+                        i = ni
                         if cc != 0:
-                            i = ni
-                            ni = e[1]
+                            ni = a
                         else:
-                            i = ni
                             ni += 1
-                        instr_count += 1
-                        cycles += base_cycles
                         if brk:
                             brk = False
                             break
-                    elif k == K_SLLX_I:
-                        value = regs[e[2]] << e[3]
-                        if value > _S64_MAX or value < _S64_MIN:
-                            value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                        regs[e[1]] = value
-                        instr_count += 1
-                        cycles += base_cycles
-                        i = ni
-                        ni += 1
                     elif k == K_SUB_R:
-                        value = regs[e[2]] - regs[e[3]]
+                        value = regs[b] - regs[c]
                         if value > _S64_MAX or value < _S64_MIN:
                             value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                        regs[e[1]] = value
-                        instr_count += 1
-                        cycles += base_cycles
+                        regs[a] = value
                         i = ni
                         ni += 1
-                    elif k == K_SUB_I:
-                        value = regs[e[2]] - e[3]
+                    elif k == K_SLLX_I:
+                        value = regs[b] << c
                         if value > _S64_MAX or value < _S64_MIN:
                             value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                        regs[e[1]] = value
-                        instr_count += 1
-                        cycles += base_cycles
+                        regs[a] = value
                         i = ni
                         ni += 1
-                    elif k == K_BE:
-                        if track_br and note_br(
-                            (cc == 0) != btfn_backward(e[1], i), i, instr_count
-                        ):
-                            brk = True
-                        if cc == 0:
-                            i = ni
-                            ni = e[1]
-                        else:
-                            i = ni
-                            ni += 1
-                        instr_count += 1
-                        cycles += base_cycles
-                        if brk:
-                            brk = False
-                            break
                     elif k == K_BG:
                         if track_br and note_br(
-                            (cc > 0) != btfn_backward(e[1], i), i, instr_count
+                            (cc > 0) != btfn_backward(a, i), i,
+                            instr_count + step,
                         ):
                             brk = True
+                        i = ni
                         if cc > 0:
-                            i = ni
-                            ni = e[1]
+                            ni = a
                         else:
-                            i = ni
                             ni += 1
-                        instr_count += 1
-                        cycles += base_cycles
                         if brk:
                             brk = False
                             break
                     elif k == K_BLE:
                         if track_br and note_br(
-                            (cc <= 0) != btfn_backward(e[1], i), i, instr_count
+                            (cc <= 0) != btfn_backward(a, i), i,
+                            instr_count + step,
                         ):
                             brk = True
+                        i = ni
                         if cc <= 0:
-                            i = ni
-                            ni = e[1]
+                            ni = a
                         else:
-                            i = ni
                             ni += 1
-                        instr_count += 1
-                        cycles += base_cycles
                         if brk:
                             brk = False
                             break
-                    elif k == K_MULX_I:
-                        value = regs[e[2]] * e[3]
+                    elif k == K_BE:
+                        if track_br and note_br(
+                            (cc == 0) != btfn_backward(a, i), i,
+                            instr_count + step,
+                        ):
+                            brk = True
+                        i = ni
+                        if cc == 0:
+                            ni = a
+                        else:
+                            ni += 1
+                        if brk:
+                            brk = False
+                            break
+                    elif k == K_SUB_I:
+                        value = regs[b] - c
                         if value > _S64_MAX or value < _S64_MIN:
                             value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                        regs[e[1]] = value
-                        instr_count += 1
-                        cycles += base_cycles
+                        regs[a] = value
                         i = ni
                         ni += 1
                     elif k == K_CALL:
-                        if track_br and note_br(False, i, instr_count):
+                        if track_br and note_br(False, i, instr_count + step):
                             brk = True
                         xpc = tb + (i << 2)
                         regs[REG_RA] = xpc
                         callstack.append(xpc)
                         i = ni
-                        ni = e[1]
-                        instr_count += 1
-                        cycles += base_cycles
+                        ni = a
                         if brk:
                             brk = False
                             break
-                    elif k == K_JMPL:
+                    elif k == K_RET or k == K_JMPL:
                         # indirect target: the BTFN static predictor always
                         # mispredicts it
-                        if track_br and note_br(True, i, instr_count):
+                        if track_br and note_br(True, i, instr_count + step):
                             brk = True
-                        rd = e[1]
-                        if rd:
-                            regs[rd] = tb + (i << 2)
-                        t = regs[e[2]] + e[3]
-                        if e[4] and callstack:
+                        if a:
+                            regs[a] = tb + (i << 2)
+                        t = regs[b] + c
+                        if k == K_RET and callstack:
                             callstack.pop()
                         ti = (t - tb) >> 2
                         if t & 3 or ti < 0 or ti > ncode:
@@ -1041,14 +924,18 @@ class CPU:
                             ti = ncode
                         i = ni
                         ni = ti
-                        instr_count += 1
-                        cycles += base_cycles
                         if brk:
                             brk = False
                             break
+                    elif k == K_MULX_I:
+                        value = regs[b] * c
+                        if value > _S64_MAX or value < _S64_MIN:
+                            value = ((value - _S64_MIN) & _U64M) + _S64_MIN
+                        regs[a] = value
+                        i = ni
+                        ni += 1
                     elif k < 10:  # PREFETCH
-                        o = e[3]
-                        ea = regs[e[2]] + (regs[o] if k & 1 else o)
+                        ea = regs[b] + (regs[c] if k & 1 else c)
                         # dropped on a DTLB miss or an unmapped address;
                         # raises no counter events (demand accesses only)
                         try:
@@ -1058,163 +945,208 @@ class CPU:
                         if translated and not dcache.access(ea, False):
                             if not ecache.access(ea, False):
                                 inflight[ea >> ec_line_shift] = (
-                                    cycles + ec_miss_cycles
+                                    cycles + step * base_cycles + ec_miss_cycles
                                 )
-                        instr_count += 1
-                        cycles += base_cycles
                         i = ni
                         ni += 1
                     elif k == K_AND_R:
-                        regs[e[1]] = regs[e[2]] & regs[e[3]]
-                        instr_count += 1
-                        cycles += base_cycles
+                        regs[a] = regs[b] & regs[c]
                         i = ni
                         ni += 1
                     elif k == K_AND_I:
-                        regs[e[1]] = regs[e[2]] & e[3]
-                        instr_count += 1
-                        cycles += base_cycles
+                        regs[a] = regs[b] & c
                         i = ni
                         ni += 1
                     elif k == K_OR_R:
-                        regs[e[1]] = regs[e[2]] | regs[e[3]]
-                        instr_count += 1
-                        cycles += base_cycles
+                        regs[a] = regs[b] | regs[c]
                         i = ni
                         ni += 1
                     elif k == K_OR_I:
-                        regs[e[1]] = regs[e[2]] | e[3]
-                        instr_count += 1
-                        cycles += base_cycles
+                        regs[a] = regs[b] | c
                         i = ni
                         ni += 1
                     elif k == K_XOR_R:
-                        regs[e[1]] = regs[e[2]] ^ regs[e[3]]
-                        instr_count += 1
-                        cycles += base_cycles
+                        regs[a] = regs[b] ^ regs[c]
                         i = ni
                         ni += 1
                     elif k == K_XOR_I:
-                        regs[e[1]] = regs[e[2]] ^ e[3]
-                        instr_count += 1
-                        cycles += base_cycles
+                        regs[a] = regs[b] ^ c
                         i = ni
                         ni += 1
                     elif k == K_SLLX_R:
-                        value = regs[e[2]] << (regs[e[3]] & 63)
+                        value = regs[b] << (regs[c] & 63)
                         if value > _S64_MAX or value < _S64_MIN:
                             value = ((value - _S64_MIN) & _U64M) + _S64_MIN
-                        regs[e[1]] = value
-                        instr_count += 1
-                        cycles += base_cycles
+                        regs[a] = value
                         i = ni
                         ni += 1
                     elif k == K_SRLX_I:
-                        value = (regs[e[2]] & _U64M) >> e[3]
+                        value = (regs[b] & _U64M) >> c
                         if value > _S64_MAX:
                             value -= _U64
-                        regs[e[1]] = value
-                        instr_count += 1
-                        cycles += base_cycles
+                        regs[a] = value
                         i = ni
                         ni += 1
                     elif k == K_SRLX_R:
-                        value = (regs[e[2]] & _U64M) >> (regs[e[3]] & 63)
+                        value = (regs[b] & _U64M) >> (regs[c] & 63)
                         if value > _S64_MAX:
                             value -= _U64
-                        regs[e[1]] = value
-                        instr_count += 1
-                        cycles += base_cycles
+                        regs[a] = value
                         i = ni
                         ni += 1
                     elif k == K_SRAX_I:
-                        regs[e[1]] = regs[e[2]] >> e[3]
-                        instr_count += 1
-                        cycles += base_cycles
+                        regs[a] = regs[b] >> c
                         i = ni
                         ni += 1
                     elif k == K_SRAX_R:
-                        regs[e[1]] = regs[e[2]] >> (regs[e[3]] & 63)
-                        instr_count += 1
-                        cycles += base_cycles
+                        regs[a] = regs[b] >> (regs[c] & 63)
                         i = ni
                         ni += 1
                     elif k < 38:  # SDIVX / SMODX
-                        o = e[3]
-                        b = regs[o] if k & 1 else o
-                        a = regs[e[2]]
-                        if b == 0:
+                        divisor = regs[c] if k & 1 else c
+                        dividend = regs[b]
+                        if divisor == 0:
                             raise DivisionByZero(f"at pc 0x{tb + (i << 2):x}")
-                        q = abs(a) // abs(b)
-                        if (a < 0) != (b < 0):
+                        q = abs(dividend) // abs(divisor)
+                        if (dividend < 0) != (divisor < 0):
                             q = -q
-                        value = q if k < 36 else a - q * b
-                        rd = e[1]
-                        if rd:
-                            regs[rd] = value
-                        instr_count += 1
-                        cycles += base_cycles
+                        value = q if k < 36 else dividend - q * divisor
+                        if a:
+                            regs[a] = value
                         i = ni
                         ni += 1
                     elif k == K_TA:
                         service = self.kernel_service
                         if service is None:
-                            raise MachineError(f"trap {e[1]} with no kernel")
-                        # sync state (and flush the batched MRU tallies) so
-                        # the kernel sees a consistent CPU and machine
-                        self.pc = tb + (i << 2)
-                        self.npc = (
-                            bad_pc
-                            if ni == ncode and bad_pc is not None
-                            else tb + (ni << 2)
-                        )
-                        self.cycles, self.instr_count = cycles, instr_count
-                        self.ecstall_cycles = ecstall_total
-                        if tlb_hits:
-                            dtlb.refs += tlb_hits
-                            tlb_hits = 0
-                        if dc_read_hits:
-                            dcache.read_refs += dc_read_hits
-                            dc_read_hits = 0
-                        if dc_write_hits:
-                            dcache.write_refs += dc_write_hits
-                            dc_write_hits = 0
-                        service(self, e[1])
+                            raise MachineError(f"trap {a} with no kernel")
+                        publish(i, ni, bad_pc, cycles + step * base_cycles,
+                                instr_count + step, ecstall_total,
+                                tlb_hits, dc_read_hits, dc_write_hits)
+                        tlb_hits = dc_read_hits = dc_write_hits = 0
+                        service(self, a)
                         cycles += TRAP_CYCLES
                         self.system_cycles += TRAP_CYCLES
                         # the service may have remapped memory
                         seg_base, seg_end, mru_page = 1, 0, -1
-                        instr_count += 1
-                        cycles += base_cycles
                         i = ni
                         ni += 1
                         break
                     elif k == K_HALT:
                         self.halted = True
                         self.exit_code = regs[8]  # %o0
-                        instr_count += 1
-                        cycles += base_cycles
                         i = ni
                         ni += 1
                         break
                     elif k == K_BAD:
                         # fetch fault: fell off the end of text, or a
                         # control transfer targeted a bad address
-                        p = e[1]
-                        if p is None:
-                            p = bad_pc if bad_pc is not None else tb + (i << 2)
-                        bad_pc = p
-                        raise IllegalInstruction(f"fetch from 0x{p:x}")
+                        if a is None:
+                            a = bad_pc if bad_pc is not None else tb + (i << 2)
+                        bad_pc = a
+                        raise IllegalInstruction(f"fetch from 0x{a:x}")
                     else:  # pragma: no cover - predecode rejects unknown ops
                         raise IllegalInstruction(
                             f"unknown kind {k} at 0x{tb + (i << 2):x}"
                         )
+                # the batch retired ``step + 1`` instructions (an arm breaks
+                # only after retiring)
+                in_batch = False
+                step += 1
+                instr_count += step
+                cycles += step * base_cycles
+
+                # ---- checkpoint: the only place observable bookkeeping
+                # happens; the countdown guarantees it runs at exactly the
+                # instructions where the per-instruction loop would have
+                # overflowed a counter, delivered a trap, ticked the clock
+                # or hit a deadline.  Each part runs only when armed.
+                if count_retired:
+                    if w_insts is not None:
+                        skid = record(w_insts, instr_count - flushed_insts)
+                        if skid >= 0:
+                            pending.append(
+                                [instr_count + skid, w_insts, skid,
+                                 tb + (i << 2), counters.last_coalesced, None]
+                            )
+                    if w_cycles is not None:
+                        n = cycles - flushed_cycles
+                        if n:
+                            skid = record(w_cycles, n)
+                            if skid >= 0:
+                                pending.append(
+                                    [instr_count + skid, w_cycles, skid,
+                                     tb + (i << 2), counters.last_coalesced,
+                                     None]
+                                )
+                    flushed_insts = instr_count
+                    flushed_cycles = cycles
+                if pending:
+                    due = None
+                    for trap in pending:
+                        if trap[0] <= instr_count:
+                            if due is None:
+                                due = []
+                            due.append(trap)
+                    if due:
+                        handler = self.overflow_handler
+                        # the snapshot reads the next-to-issue pc
+                        publish(i, ni, bad_pc, cycles, instr_count,
+                                ecstall_total, tlb_hits, dc_read_hits,
+                                dc_write_hits)
+                        tlb_hits = dc_read_hits = dc_write_hits = 0
+                        for trap in due:
+                            pending.remove(trap)
+                            if handler is not None:
+                                handler(
+                                    self.snapshot(
+                                        trap[1], trap[2], trap[3], trap[4],
+                                        trap[5],
+                                        trap[6] if len(trap) > 6 else None,
+                                    )
+                                )
+                if cycles >= tick:
+                    handler = self.clock_handler
+                    pc = publish(i, ni, bad_pc, cycles, instr_count,
+                                 ecstall_total, tlb_hits, dc_read_hits,
+                                 dc_write_hits)
+                    tlb_hits = dc_read_hits = dc_write_hits = 0
+                    while tick <= cycles:
+                        tick += clock_interval
+                        self.next_clock_tick = tick
+                        if handler is not None:
+                            handler(pc, cycles, tuple(callstack))
+                    cycles_limit = min(tick, cycle_stop)
+                # deadlines fire only after the retired instruction's
+                # events are fully counted (partial experiments must
+                # agree with machine.stats() ground truth)
+                if cycles >= cycle_stop:
+                    pc = tb + (i << 2)
+                    if kill_at is not None and cycles >= kill_at:
+                        raise SimulatedCrash(
+                            f"injected kill at cycle {cycles} (pc 0x{pc:x})"
+                        )
+                    raise WatchdogExpired(
+                        f"cycle watchdog: {cycles} >= {max_cycles} "
+                        f"(pc 0x{pc:x})"
+                    )
+                if instr_count >= watch_stop:
+                    raise WatchdogExpired(
+                        f"instruction watchdog: {instr_count} >= "
+                        f"{watchdog_instructions} (pc 0x{tb + (i << 2):x})"
+                    )
+                if self.halted or instr_count >= budget_stop:
+                    break
 
         finally:
             # Sync locals back even when a fault/deadline raised mid-loop,
-            # so partial-experiment finalization sees accurate state.  Any
-            # instruction with extra cycles or an armed trap forced a
-            # checkpoint, so everything retired-but-unflushed cost exactly
+            # so partial-experiment finalization sees accurate state.
+            if in_batch:
+                # an arm raised: its instruction did not retire, the
+                # ``step`` before it did
+                instr_count += step
+                cycles += step * base_cycles
+            # Any instruction with extra cycles or an armed trap ended its
+            # batch, so everything retired-but-unflushed cost exactly
             # base_cycles — flush it so counter totals track ground truth
             # through the last retired instruction.
             n = instr_count - flushed_insts
@@ -1223,12 +1155,9 @@ class CPU:
                     record(w_insts, n)
                 if w_cycles is not None:
                     record(w_cycles, n * base_cycles)
-            if tlb_hits:
-                dtlb.refs += tlb_hits
-            if dc_read_hits:
-                dcache.read_refs += dc_read_hits
-            if dc_write_hits:
-                dcache.write_refs += dc_write_hits
+            dtlb.refs += tlb_hits
+            dcache.read_refs += dc_read_hits
+            dcache.write_refs += dc_write_hits
             if i >= ncode and bad_pc is not None:
                 self.pc = bad_pc
             else:

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .collect.collector import RECOVERABLE_FAULTS, CollectConfig, collect
 from .collect.experiment import Experiment
 from .config import MachineConfig, scaled_config
-from .errors import ReproError
+from .errors import ReproError, WorkloadError
 
 
 @dataclass
@@ -68,6 +69,9 @@ class JobResult:
     fault: str = ""
     #: non-empty when the pass died (partial experiment may still exist)
     error: str = ""
+    #: ``counter_events(experiment)`` and the run's machine totals
+    counter_events: list = field(default_factory=list)
+    totals: dict = field(default_factory=dict)
     experiment: Optional[Experiment] = None
 
     @property
@@ -76,9 +80,19 @@ class JobResult:
         return not self.error
 
 
+def check_workload(workload: str, trips: int, seed: int) -> None:
+    """Raise :class:`WorkloadError` for options :func:`build_workload`
+    cannot honour.  Cheap, so a caller can run it before any pass starts."""
+    if workload == "mcf" and trips < 2:
+        raise WorkloadError(f"mcf needs at least 2 trips, got {trips}")
+    if workload == "commercial" and seed < 1:
+        raise WorkloadError(f"commercial needs a seed >= 1, got {seed}")
+
+
 def build_workload(workload: str, trips: int, seed: int, layout: str):
     """(program, input_longs) for a named workload: ``mcf`` (``trips``
     and ``layout`` apply) or ``commercial``."""
+    check_workload(workload, trips, seed)
     if workload == "mcf":
         from .mcf.instance import encode_instance, generate_instance
         from .mcf.sources import LayoutVariant
@@ -89,8 +103,21 @@ def build_workload(workload: str, trips: int, seed: int, layout: str):
     if workload == "commercial":
         from .workloads import build_commercial, commercial_input
 
-        return build_commercial(), commercial_input(seed=seed or 12345)
+        return build_commercial(), commercial_input(seed=seed)
     raise ReproError(f"unknown workload {workload!r}")
+
+
+def counter_events(experiment: Experiment) -> list:
+    """``(event, interval, events recorded)`` for each counter the run
+    watched, in ``info.counters`` order."""
+    recorded = Counter(
+        (event.counter, event.event) for event in experiment.hwc_events
+    )
+    return [
+        (spec["name"], spec["interval"],
+         recorded[spec["register"], spec["name"]])
+        for spec in experiment.info.counters
+    ]
 
 
 def run_job(job: CollectJob, index: int = 0) -> JobResult:
@@ -126,6 +153,8 @@ def run_job(job: CollectJob, index: int = 0) -> JobResult:
     result.exit_code = experiment.info.exit_code
     result.incomplete = experiment.incomplete
     result.fault = experiment.info.fault
+    result.counter_events = counter_events(experiment)
+    result.totals = dict(experiment.info.totals)
     if job.return_experiment:
         result.experiment = experiment.detached()
     return result
@@ -233,6 +262,6 @@ def collect_many(
 
 
 __all__ = [
-    "CollectJob", "JobResult", "build_workload", "collect_many",
-    "parallel_map", "run_job",
+    "CollectJob", "JobResult", "build_workload", "check_workload",
+    "collect_many", "counter_events", "parallel_map", "run_job",
 ]

@@ -136,3 +136,65 @@ class TestCommercialWorkload:
 
         exp = Experiment.open(outdir + ".er")
         assert exp.hwc_events
+
+
+class TestWorkloadOptions:
+    """Options a workload cannot honour are refused before any pass
+    starts: exit 2, one line on stderr, no experiment directory."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--workload", "commercial", "--trips", "7"],
+         "does not take --trips"),
+        (["--workload", "commercial", "--layout", "opt_layout"],
+         "does not take --layout"),
+        (["--workload", "commercial", "--seed", "0"],
+         "commercial needs a seed >= 1, got 0"),
+        (["--workload", "commercial", "--seed", "-1"],
+         "commercial needs a seed >= 1, got -1"),
+        (["--workload", "mcf", "--trips", "1"],
+         "mcf needs at least 2 trips, got 1"),
+        (["-h", "+ecrm,29", "-h", "+dtlbm,11", "--workload", "mcf",
+          "--trips", "1"],
+         "mcf needs at least 2 trips, got 1"),
+        (["-h", "+ecrm,29", "-h", "+dtlbm,11", "--workload", "commercial",
+          "--layout", "baseline"],
+         "does not take --layout"),
+    ])
+    def test_refused(self, tmp_path, capsys, argv, message):
+        assert main(argv + ["-o", str(tmp_path / "exp")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not any(tmp_path.iterdir())
+
+
+class TestEmptyCounterWarnings:
+    """A requested counter that recorded nothing is named on stderr with
+    its interval and the machine's own count; the exit code stays 0."""
+
+    @staticmethod
+    def warnings(err):
+        return [line for line in err.splitlines()
+                if line.startswith("collect: warning:")]
+
+    def test_each_empty_counter_is_named(self, tmp_path, capsys):
+        assert main(["-p", "on", "-h", "+ecstall,97,+ecrm,29",
+                     "-h", "+ecref,53,+dtlbm,11", "-o", str(tmp_path / "m"),
+                     "--workload", "mcf", "--trips", "15"]) == 0
+        lines = self.warnings(capsys.readouterr().err)
+        assert [line.split()[2] for line in lines] == ["ecrm", "dtlbm"]
+        assert "(interval 29; the run had " in lines[0]
+        assert lines[0].endswith(" E$ read misses)")
+        assert "(interval 11; the run had " in lines[1]
+        assert lines[1].endswith(" DTLB misses)")
+
+    def test_single_pass_names_empty_counter(self, tmp_path, capsys):
+        assert main(["-h", "+ecstall,97,+ecrm,29", "-o", str(tmp_path / "s"),
+                     "--workload", "mcf", "--trips", "15"]) == 0
+        lines = self.warnings(capsys.readouterr().err)
+        assert [line.split()[2] for line in lines] == ["ecrm"]
+
+    def test_no_warning_when_every_counter_fires(self, tmp_path, capsys):
+        assert main(["-p", "on", "-h", "+ecstall,7,+ecrm,3",
+                     "-h", "+ecref,5,+dtlbm,2", "-o", str(tmp_path / "f"),
+                     "--workload", "mcf", "--trips", "15"]) == 0
+        assert self.warnings(capsys.readouterr().err) == []

@@ -10,6 +10,8 @@ from repro.errors import (
     DivisionByZero,
     IllegalInstruction,
     MemoryFault,
+    ReproError,
+    SimulatedCrash,
     WatchdogExpired,
 )
 from repro.isa.instructions import Instr, Op
@@ -491,3 +493,88 @@ class TestIntervalOneCounters:
         ref = journals("reference")
         got = journals("fast")
         assert got == ref
+
+
+#: HOT_LOOP's loop for ``input[0]`` trips, then a fault: a misaligned load
+#: from a mapped line when ``input[1]`` is 1, else a division by
+#: ``input[1]`` (zero in the sweeps)
+FAULT_AFTER_LOOP = """
+long main(long *input, long n) {
+    long *a; long *p; long i; long s;
+    a = (long *) malloc(8192);
+    s = 0;
+    for (i = 0; i < input[0]; i = i + 1)
+        s = s + a[i & 511] + (i ^ s);
+    if (input[1] == 1) {
+        p = (long *) ((long) a + 4);
+        return p[0];
+    }
+    return s / input[1];
+}
+"""
+
+
+def _run_to_fault(program, engine, input_longs, kill_at=None):
+    process = Process(program, tiny_config(), input_longs=input_longs)
+    cpu = process.machine.cpu
+    cpu.engine = engine
+    cpu.kill_at_cycle = kill_at
+    try:
+        process.run()
+    except ReproError as error:
+        return type(error), _state(process)
+    return None, _state(process)
+
+
+class TestFaultInsideBatch:
+    """A fault raised by an arm means that instruction did not retire:
+    wherever it lands in a batch, the fast engine must leave exactly the
+    reference interpreter's counts, cycles and state behind."""
+
+    @pytest.mark.parametrize("kind,fault", [(0, DivisionByZero),
+                                            (1, MemoryFault)])
+    def test_fault_at_every_offset(self, kind, fault):
+        program = build_executable(FAULT_AFTER_LOOP, name="faultloop")
+        # 40 consecutive trip counts move the fault across several
+        # batches of the loop (each D$ miss ends one)
+        for trips in range(300, 340):
+            ref = _run_to_fault(program, "reference", [trips, kind])
+            got = _run_to_fault(program, "fast", [trips, kind])
+            assert ref[0] is fault
+            assert got == ref, f"diverged with {trips} trips"
+
+    def test_kill_at_every_cycle(self):
+        program = build_executable(HOT_LOOP, name="hotloop")
+        for kill_at in range(20000, 20040):
+            ref = _run_to_fault(program, "reference", INPUT, kill_at)
+            got = _run_to_fault(program, "fast", INPUT, kill_at)
+            assert ref[0] is SimulatedCrash
+            assert got == ref, f"diverged with kill_at={kill_at}"
+
+
+class TestObserversSeeFlushedState:
+    """The fast loop tallies D$ and DTLB MRU hits in locals; every trap
+    and clock handler must still read the reference engine's
+    ``machine.stats()`` at every call."""
+
+    def test_handlers_read_identical_stats(self):
+        program = build_executable(HOT_LOOP, name="hotloop")
+
+        def observed(engine):
+            process = Process(program, tiny_config(), input_longs=INPUT)
+            machine = process.machine
+            cpu = machine.cpu
+            cpu.engine = engine
+            machine.configure_counters([CounterSpec.parse("dcrm,7", 0)])
+            seen = []
+            cpu.overflow_handler = lambda snap: seen.append(
+                ("trap", snap.instr_count, machine.stats()))
+            cpu.clock_handler = lambda pc, cycle, stack: seen.append(
+                ("tick", cycle, machine.stats()))
+            cpu.enable_clock_profiling(499)
+            process.run()
+            return seen
+
+        ref = observed("reference")
+        assert {kind for kind, _, _ in ref} == {"trap", "tick"}
+        assert observed("fast") == ref
