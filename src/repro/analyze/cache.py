@@ -71,8 +71,8 @@ def invalidate(directory) -> bool:
 def load(directory) -> Optional[ReducedData]:
     """The cached reduction for an unchanged, healthy experiment — or None.
 
-    The returned reduction is **detached** (no program image); callers
-    attach the directory's ``program.pkl`` via :meth:`ReducedData.attach`.
+    The returned reduction is **detached** (no program image): a hit
+    never unpickles ``program.pkl``.
     Any detected staleness deletes the cache entry before returning None.
     """
     path = Path(directory)

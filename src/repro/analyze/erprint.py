@@ -27,7 +27,8 @@ Commands (er_print-style):
                             members on each shared line (multi-core runs)
 * ``header``                collection parameters + run facts (flags
                             time-multiplexed counters whose totals are
-                            scaled estimates)
+                            scaled estimates, and names each counter
+                            that recorded no event)
 * ``heap``                  allocation/deallocation summary by site (§2.2)
 * ``fsck``                  validate the directory against its manifest and
                             report how much data is salvageable; with
@@ -59,6 +60,7 @@ from __future__ import annotations
 import sys
 
 from ..errors import ReproError
+from ..machine.counters import empty_counter_note
 from . import reports
 from .fsck import fsck_experiment
 from .oracle import oracle_experiments, render_oracle
@@ -173,6 +175,10 @@ def _run_command(reduced, command: str, args: list) -> str:
                 f"  HW counter: {plus}{info['name']} interval={info['interval']}"
                 f" (PIC{info['register']}){mux}"
             )
+            if not reduced.total.get(info["name"]):
+                note = empty_counter_note(info["name"], info["interval"],
+                                          reduced.machine_totals)
+                lines.append(f"  warning: {note}")
         for name, base, size, page in reduced.segments:
             lines.append(
                 f"  segment {name:<6} base=0x{base:x} size={size} page={page}"

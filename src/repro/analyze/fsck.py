@@ -5,6 +5,9 @@ SHA-256 checksums and line counts), then attempts a salvage-mode open to
 find out how much of the data is usable.  Never raises on damage — the
 whole point is to run against directories other tools refuse to load.
 
+A requested counter that recorded no event is named with its interval
+and the machine's count, as ``repro-collect`` warns; it is not damage.
+
 Exit codes: 0 = healthy or salvageable (possibly partial), 1 =
 unrecoverable (no analyzable data), 2 = not an experiment directory.
 """
@@ -15,6 +18,8 @@ from pathlib import Path
 
 from ..collect.experiment import FORMAT_VERSION, MANIFEST_NAME, Experiment
 from ..errors import ExperimentError
+from ..machine.counters import empty_counter_note
+from ..parallel import counter_events
 from . import cache as reduction_cache
 
 FSCK_OK = 0
@@ -104,6 +109,13 @@ def fsck_experiment(directory) -> tuple[str, int]:
                 f"  salvage: {name}: skipped {stats.lines_skipped}/"
                 f"{stats.lines_read} lines ({stats.first_error})"
             )
+    if not damage:
+        # an empty counter is a fact about the run, not damage; with
+        # damaged files its events may have been lost instead
+        for name, interval, recorded in counter_events(exp):
+            if not recorded:
+                note = empty_counter_note(name, interval, exp.info.totals)
+                lines.append(f"  warning: {note}")
     if exp.incomplete or damage:
         # a cached reduction keyed before the damage must not be served
         if reduction_cache.invalidate(path):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 from ..compiler.program import Program
@@ -50,25 +51,34 @@ class DataObjectKey:
     member_type: str
 
 
-class MetricVector(defaultdict):
-    """metric id -> raw count; behaves like a defaultdict(float)."""
+class MetricVector(dict):
+    """metric id -> raw count.  A missing metric reads as 0.0 and is
+    stored on that read, so ``vector[m] += x`` accumulates.
 
-    def __init__(self, *args) -> None:
-        # unpickling hands the default factory back as the first argument
-        # (defaultdict.__reduce__); drop it — the factory is always float
-        if args and args[0] is float:
-            args = args[1:]
-        super().__init__(float, *args)
+    A plain ``dict`` subclass: building, copying, pickling and decoding a
+    vector run in C, with no Python-level ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, metric_id: str) -> float:
+        self[metric_id] = 0.0
+        return 0.0
 
     def add(self, metric_id: str, value: float) -> None:
         """Accumulate into one metric."""
         self[metric_id] += value
 
+    def absorb(self, other: "MetricVector") -> None:
+        """Add the other vector's counts into this one, in place."""
+        get = self.get
+        for key, value in other.items():
+            self[key] = get(key, 0.0) + value
+
     def merged_with(self, other: "MetricVector") -> "MetricVector":
         """A new vector with both operands' counts summed."""
         out = MetricVector(self)
-        for key, value in other.items():
-            out[key] += value
+        out.absorb(other)
         return out
 
 
@@ -88,7 +98,9 @@ class ReducedData:
     """Everything the analyzer computed from one (or merged) experiments."""
 
     def __init__(self, program: Optional[Program], clock_hz: float) -> None:
-        self.program = program
+        self._program = program
+        #: a saved image :attr:`program` unpickles on first read
+        self._image_path: Optional[Path] = None
         self.clock_hz = clock_hz
         #: metric ids with data present, in canonical order
         self.metric_ids: list[str] = []
@@ -142,7 +154,7 @@ class ReducedData:
         self.incomplete: bool = False
         self.incomplete_reason: str = ""
         #: code length of the program this was reduced over; survives
-        #: :meth:`detach` so :meth:`attach` can validate the re-attachment
+        #: :meth:`detach` so a re-attached image can be validated
         self.code_len: int = len(program.code) if program is not None else 0
 
     # ------------------------------------------------------------- helpers
@@ -186,121 +198,156 @@ class ReducedData:
                 bad += vector.get(metric_id, 0.0)
         return 100.0 * (1.0 - bad / total)
 
-    def merged_with(self, other: "ReducedData") -> "ReducedData":
-        """Combine two experiments over the same program (the paper's two
-        collect runs feed one analysis).
+    #: per-key vector tables; :meth:`absorb` sums them key by key
+    _TABLES = (
+        "functions",
+        "functions_incl",
+        "caller_callee",
+        "lines",
+        "data_objects",
+        "data_members",
+        "cache_lines",
+        "pages",
+        "cache_line_objects",
+        "page_objects",
+        "threads",
+        "cache_line_writers",
+    )
 
-        Works on *detached* reductions too (program image stripped, e.g.
-        a payload loaded from the reduction cache or the fleet aggregate
-        store): program compatibility is then validated through the
-        recorded ``code_len`` instead of the live image, and the merged
-        result keeps the code length so :meth:`attach` can still verify
-        a later re-attachment.
+    def absorb(self, other: "ReducedData") -> "ReducedData":
+        """Merge another reduction over the same program into this one, in
+        place (the paper's two collect runs feed one analysis); returns
+        ``self``.
+
+        Program compatibility is checked through the recorded code
+        lengths before anything changes, so a mismatch (``ValueError``)
+        leaves this reduction as it was; no program image is read.
+        ``other`` is not modified: every vector and record it holds is
+        copied, never shared.
         """
-        mine = self.code_len or (
-            len(self.program.code) if self.program is not None else 0
-        )
-        theirs = other.code_len or (
-            len(other.program.code) if other.program is not None else 0
-        )
-        if mine and theirs and mine != theirs:
+        if other is self:
+            raise ValueError("a reduction cannot absorb itself")
+        if self.code_len and other.code_len and self.code_len != other.code_len:
             raise ValueError("cannot merge experiments over different programs")
-        out = ReducedData(self.program or other.program, self.clock_hz)
-        out.code_len = mine or theirs
-        out.metric_ids = list(
+        if self._program is None and self._image_path is None:
+            self._program = other._program
+            self._image_path = other._image_path
+        self.code_len = self.code_len or other.code_len
+        self.metric_ids = list(
             dict.fromkeys([*self.metric_ids, *other.metric_ids])
         )
-        out.total = self.total.merged_with(other.total)
-        for source in (self, other):
-            for pc, record in source.pcs.items():
-                target = out.record_pc(pc)
-                target.metrics = target.metrics.merged_with(record.metrics)
-                target.is_branch_target_artifact |= record.is_branch_target_artifact
-                # deterministic label resolution: identical experiments
-                # agree on the label, so this only breaks ties (and does
-                # so independently of merge order — the fleet store's
-                # canonical-bytes invariant)
-                if record.data_object:
-                    if (not target.data_object
-                            or record.data_object < target.data_object):
-                        target.data_object = record.data_object
+        self.total.absorb(other.total)
+        pcs = self.pcs
+        for pc, record in other.pcs.items():
+            target = pcs.get(pc)
+            if target is None:
+                pcs[pc] = PCRecord(pc, MetricVector(record.metrics),
+                                   record.is_branch_target_artifact,
+                                   record.data_object, record.member)
+                continue
+            target.metrics.absorb(record.metrics)
+            target.is_branch_target_artifact |= record.is_branch_target_artifact
+            # deterministic label resolution: identical experiments
+            # agree on the label, so this only breaks ties (and does
+            # so independently of merge order — the fleet store's
+            # canonical-bytes invariant)
+            if record.data_object:
+                if (not target.data_object
+                        or record.data_object < target.data_object):
+                    target.data_object = record.data_object
+                    target.member = record.member
+                elif (record.data_object == target.data_object
+                      and record.member):
+                    if not target.member or record.member < target.member:
                         target.member = record.member
-                    elif (record.data_object == target.data_object
-                          and record.member):
-                        if not target.member or record.member < target.member:
-                            target.member = record.member
-            for table_name in (
-                "functions",
-                "functions_incl",
-                "lines",
-                "data_objects",
-                "cache_lines",
-                "pages",
-                "cache_line_objects",
-                "page_objects",
-                "threads",
-                "cache_line_writers",
-            ):
-                table = getattr(source, table_name)
-                out_table = getattr(out, table_name)
-                for key, vector in table.items():
-                    out_table[key] = out_table[key].merged_with(vector)
-            for key, vector in source.caller_callee.items():
-                out.caller_callee[key] = out.caller_callee[key].merged_with(vector)
-            for key, vector in source.data_members.items():
-                out.data_members[key] = out.data_members[key].merged_with(vector)
-            for metric_id, samples in source.address_samples.items():
-                out.address_samples[metric_id].extend(samples)
-            for metric_id, samples in source.latency_samples.items():
-                out.latency_samples[metric_id].extend(samples)
-            for key, value in source.machine_totals.items():
-                out.machine_totals[key] = max(out.machine_totals.get(key, 0.0), value)
-            out.counter_info.extend(source.counter_info)
+        for table_name in self._TABLES:
+            table = getattr(self, table_name)
+            for key, vector in getattr(other, table_name).items():
+                target = table.get(key)
+                if target is None:
+                    table[key] = MetricVector(vector)
+                else:
+                    target.absorb(vector)
+        for metric_id, samples in other.address_samples.items():
+            self.address_samples[metric_id].extend(samples)
+        for metric_id, samples in other.latency_samples.items():
+            self.latency_samples[metric_id].extend(samples)
+        # compared from 0.0, as a fold into an empty table would: a zero
+        # total then reads 0.0 whichever side held it
+        totals = {key: max(0.0, value)
+                  for key, value in self.machine_totals.items()}
+        for key, value in other.machine_totals.items():
+            totals[key] = max(totals.get(key, 0.0), value)
+        self.machine_totals = totals
+        self.counter_info.extend(other.counter_info)
         # union, first-seen order, deduplicated: merging two passes over
         # the same run keeps the original lists untouched, while merging
         # different runs (fleet aggregation) loses neither side
-        out.segments = [
+        self.segments = [
             list(seg) for seg in dict.fromkeys(
-                tuple(seg) for source in (self, other)
-                for seg in source.segments
+                tuple(seg) for seg in (*self.segments, *other.segments)
             )
         ]
-        out.allocations = [
+        self.allocations = [
             list(alloc) for alloc in dict.fromkeys(
-                tuple(alloc) for source in (self, other)
-                for alloc in source.allocations
+                tuple(alloc)
+                for alloc in (*self.allocations, *other.allocations)
             )
         ]
-        out.line_bytes = self.line_bytes
-        out.incomplete = self.incomplete or other.incomplete
-        out.incomplete_reason = "; ".join(
+        self.incomplete = self.incomplete or other.incomplete
+        self.incomplete_reason = "; ".join(
             filter(None, dict.fromkeys(
                 [self.incomplete_reason, other.incomplete_reason]
             ))
         )
-        return out
+        return self
 
-    # -------------------------------------------------- worker detach/attach
+    def merged_with(self, other: "ReducedData") -> "ReducedData":
+        """A new reduction holding both operands, which stay unchanged:
+        an empty reduction with this one's clock and line size absorbs
+        ``self`` and then ``other`` (:meth:`absorb`)."""
+        out = ReducedData(None, self.clock_hz)
+        out.line_bytes = self.line_bytes
+        return out.absorb(self).absorb(other)
+
+    # ------------------------------------------------------- program image
+
+    @property
+    def program(self) -> Optional[Program]:
+        """The program image the reduction was made over, or None.
+
+        After :meth:`attach` the image is unpickled on the first read, so
+        reports that show only metric tables never load it.  It must
+        cover as many instructions as the reduction did; a different
+        image raises ``ValueError`` here.
+        """
+        if self._program is None and self._image_path is not None:
+            program = Program.load(self._image_path)
+            if self.code_len and len(program.code) != self.code_len:
+                raise ValueError(
+                    f"program mismatch: reduction covers {self.code_len} "
+                    f"instructions, image has {len(program.code)}"
+                )
+            self._program, self._image_path = program, None
+            self.code_len = len(program.code)
+        return self._program
 
     def detach(self) -> "ReducedData":
         """Strip the program image, in place, so a worker process can ship
         the reduction back to the parent cheaply (mirrors
         :meth:`repro.collect.experiment.Experiment.detached`)."""
-        if self.program is not None:
-            self.code_len = len(self.program.code)
-        self.program = None
+        if self._program is not None:
+            self.code_len = len(self._program.code)
+        self._program = None
+        self._image_path = None
         return self
 
-    def attach(self, program: Program) -> "ReducedData":
-        """Re-attach a program image after :meth:`detach` (or a cache load),
-        validating that it matches the one the reduction was made over."""
-        if self.code_len and len(program.code) != self.code_len:
-            raise ValueError(
-                f"program mismatch: reduction covers {self.code_len} "
-                f"instructions, image has {len(program.code)}"
-            )
-        self.program = program
-        self.code_len = len(program.code)
+    def attach(self, image_path) -> "ReducedData":
+        """Attach the image saved at ``image_path`` (a ``program.pkl``)
+        after :meth:`detach` or a cache load; :attr:`program` unpickles
+        and checks it when first read."""
+        self._program = None
+        self._image_path = Path(image_path)
         return self
 
     # ------------------------------------------------- cache serialization

@@ -376,8 +376,9 @@ def reduce_path(directory, strict: bool = False,
 
     The result is always **detached** (no program image), whether it
     came from the cache or a fresh pass: a cache hit never unpickles
-    ``program.pkl``, and callers attach one shared image via
-    :meth:`ReducedData.attach` when a report needs it.
+    ``program.pkl``.  :func:`reduce_experiments` points the merged
+    result at one directory's image, which is unpickled only when a
+    report reads :attr:`ReducedData.program`.
     """
     path = Path(directory)
     if use_cache:
@@ -393,7 +394,7 @@ def reduce_path(directory, strict: bool = False,
 
 def _reduce_path_task(task) -> ReducedData:
     """Worker-process entry: reduce one directory (detached, so it ships
-    back cheaply and the parent attaches its own program image)."""
+    back without the program image)."""
     directory, strict, use_cache = task
     return reduce_path(directory, strict=strict, use_cache=use_cache)
 
@@ -427,24 +428,26 @@ def reduce_experiments(experiments, parallelism: Optional[int] = None,
             [(path, strict, use_cache) for _index, path in path_tasks],
             parallelism=parallelism if parallelism is not None else 1,
         )
-        # every shard comes back detached: attach one image to all of them
-        program = next(
-            (loaded.program for loaded in reduced_by_index.values()), None
-        )
-        if program is None:
-            program = Program.load(Path(path_tasks[0][1]) / "program.pkl")
         for (index, _path), shard in zip(path_tasks, shards):
-            reduced_by_index[index] = shard.attach(program)
-    return merge_reduced(reduced_by_index[index] for index in range(len(items)))
+            reduced_by_index[index] = shard
+    # every shard is a fresh reduction this call owns: fold the rest into
+    # the first in place instead of copying both sides of each merge
+    merged = reduced_by_index[0]
+    for index in range(1, len(items)):
+        merged.absorb(reduced_by_index[index])
+    if len(path_tasks) == len(items):
+        # saved shards come back detached: the first directory's image,
+        # unpickled only if a report reads it
+        merged.attach(Path(path_tasks[0][1]) / "program.pkl")
+    return merged
 
 
 def merge_reduced(shards) -> ReducedData:
-    """Fold reductions together in iteration order.
+    """Fold reductions together in iteration order, leaving each shard as
+    it was (:meth:`ReducedData.merged_with`).
 
-    The shared merge tail of :func:`reduce_experiments` and the fleet
-    aggregate store.  Shards may be detached (program-less); mixing
-    reductions of different programs raises ``ValueError`` via
-    :meth:`ReducedData.merged_with`.
+    Shards may be detached (program-less); mixing reductions of
+    different programs raises ``ValueError``.
     """
     merged: Optional[ReducedData] = None
     for shard in shards:

@@ -31,7 +31,7 @@ from ..errors import (
     WatchdogExpired,
 )
 from ..faults import FaultPlan
-from ..machine.counters import EVENTS
+from ..machine.counters import EVENTS, empty_counter_note
 from ..machine.cpu import ENGINES
 from ..parallel import (
     CollectJob,
@@ -100,20 +100,6 @@ def _parse_counter_list(text: str) -> list:
     return requests
 
 
-#: per event, the ``info.totals`` entry that counts it on the machine
-#: and what that entry counts
-_MACHINE_TOTALS = {
-    "ecstall": ("ec_stall_cycles", "E$ stall cycles"),
-    "ecrm": ("ec_read_misses", "E$ read misses"),
-    "ecref": ("ec_refs", "E$ references"),
-    "dtlbm": ("dtlb_misses", "DTLB misses"),
-    "dcrm": ("dc_read_misses", "D$ read misses"),
-    "insts": ("instructions", "instructions"),
-    "cycles": ("cycles", "cycles"),
-    "cohm": ("coherence_misses", "coherence misses"),
-}
-
-
 def _workload_options(args) -> tuple:
     """``(trips, layout)`` for the run, refusing options the workload
     would ignore or could not honour (a :class:`ReproError`)."""
@@ -134,14 +120,10 @@ def _workload_options(args) -> tuple:
 def _warn_empty_counters(events: list, totals: dict) -> None:
     """One stderr line per requested counter that recorded no event."""
     for name, interval, recorded in events:
-        if recorded:
-            continue
-        detail = f"interval {interval}"
-        key, noun = _MACHINE_TOTALS.get(name, (None, ""))
-        if key in totals:
-            detail += f"; the run had {totals[key]} {noun}"
-        print(f"collect: warning: {name} recorded no event ({detail})",
-              file=sys.stderr)
+        if not recorded:
+            print(f"collect: warning: "
+                  f"{empty_counter_note(name, interval, totals)}",
+                  file=sys.stderr)
 
 
 def main(argv=None) -> int:

@@ -140,10 +140,11 @@ class Program:
         The cyclic collector is paused while the image unpickles.  An
         image is thousands of new container objects, none of them
         garbage, and every few hundred of them would otherwise start a
-        young collection.  Every erprint verb loads an image, so those
-        collections would bring on full ones (tens of ms each) in
-        whichever verb happened to be running.  Paused, a load costs one
-        young collection, just after it.
+        young collection.  Every cold erprint verb, and every verb that
+        shows code or layouts, loads an image, so those collections would
+        bring on full ones (tens of ms each) in whichever verb happened
+        to be running.  Paused, a load costs one young collection, just
+        after it.
         """
         with open(path, "rb") as stream:
             enabled = gc.isenabled()

@@ -351,8 +351,10 @@ class FleetService:
             if existing is None:
                 merged = reduced
             else:
+                # the decoded aggregate is this call's own copy: merge
+                # into it in place
                 merged = ReducedData.from_payload(
-                    existing["payload"]).merged_with(reduced)
+                    existing["payload"]).absorb(reduced)
         except ValueError as error:
             return self._quarantine(
                 outcome, QUARANTINE_PROGRAM_MISMATCH, str(error))

@@ -129,6 +129,32 @@ def overflow_interval(event: EventSpec, setting) -> int:
         ) from None
 
 
+#: per event, the ``info.json`` totals entry that counts it on the whole
+#: machine, and what that entry counts
+MACHINE_TOTALS = {
+    "ecstall": ("ec_stall_cycles", "E$ stall cycles"),
+    "ecrm": ("ec_read_misses", "E$ read misses"),
+    "ecref": ("ec_refs", "E$ references"),
+    "dtlbm": ("dtlb_misses", "DTLB misses"),
+    "dcrm": ("dc_read_misses", "D$ read misses"),
+    "insts": ("instructions", "instructions"),
+    "cycles": ("cycles", "cycles"),
+    "cohm": ("coherence_misses", "coherence misses"),
+}
+
+
+def empty_counter_note(name: str, interval: int, totals: dict) -> str:
+    """Why a requested counter recorded nothing, in the words every tool
+    prints: ``ecrm recorded no event (interval 29; the run had 21 E$ read
+    misses)``.  ``totals`` are the run's ``info.json`` totals; the
+    machine's count is left out when they do not hold it."""
+    detail = f"interval {interval}"
+    key, noun = MACHINE_TOTALS.get(name, (None, ""))
+    if key in totals:
+        detail += f"; the run had {int(totals[key])} {noun}"
+    return f"{name} recorded no event ({detail})"
+
+
 @dataclass(frozen=True)
 class CounterSpec:
     """One configured counter: event + interval + backtracking request."""
@@ -325,6 +351,8 @@ class CounterUnit:
 __all__ = [
     "EventSpec",
     "EVENTS",
+    "MACHINE_TOTALS",
+    "empty_counter_note",
     "overflow_interval",
     "CounterSpec",
     "CounterSnapshot",

@@ -98,6 +98,45 @@ class TestHeader:
         text = run_command(reduced, "header", [])
         assert "HW counter: +ecstall" in text
         assert "segment heap" in text
+        assert "recorded no event" not in text
+
+
+class TestEmptyCounters:
+    """A requested counter that recorded nothing is named by ``header``
+    and ``fsck`` in ``repro-collect``'s words; it is not damage."""
+
+    @pytest.fixture(scope="class")
+    def quiet_dir(self, tmp_path_factory):
+        # an interval above the run's E$ read-miss total: ecrm never fires
+        cfg = CollectConfig(clock_profiling=True, clock_interval=211,
+                            counters=["+ecstall,59", "+ecrm,100000000"])
+        exp = collect(build_executable(SRC), tiny_config(), cfg)
+        misses = exp.info.totals["ec_read_misses"]
+        assert 0 < misses < 100000000
+        path = exp.save(tmp_path_factory.mktemp("quiet") / "run")
+        note = (f"warning: ecrm recorded no event (interval 100000000; "
+                f"the run had {misses} E$ read misses)")
+        return str(path), note
+
+    def test_header_names_the_empty_counter(self, quiet_dir, capsys):
+        path, note = quiet_dir
+        assert main([path, "header"]) == 0
+        text = capsys.readouterr().out
+        assert f"  {note}\n" in text
+        assert text.count("recorded no event") == 1
+
+    def test_fsck_names_it_and_stays_healthy(self, quiet_dir, capsys):
+        path, note = quiet_dir
+        assert main([path, "fsck"]) == 0
+        text = capsys.readouterr().out
+        assert f"  {note}\n" in text
+        assert text.count("recorded no event") == 1
+        assert "status: healthy" in text
+
+    def test_fsck_of_a_run_whose_counters_fired_names_none(
+            self, experiment_dir, capsys):
+        assert main([experiment_dir, "fsck"]) == 0
+        assert "recorded no event" not in capsys.readouterr().out
 
 
 class TestMissingAxes:

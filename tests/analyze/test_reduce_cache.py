@@ -84,6 +84,20 @@ class _CountingReducer:
         monkeypatch.setattr(reduce_mod._Reducer, "run", counting_run)
 
 
+class _CountingLoads:
+    """Patches ``Program.load`` to record the path of every image read."""
+
+    def __init__(self, monkeypatch):
+        self.paths = []
+        original = Program.load
+
+        def counting_load(path):
+            self.paths.append(Path(path))
+            return original(path)
+
+        monkeypatch.setattr(Program, "load", staticmethod(counting_load))
+
+
 class TestCacheHit:
     def test_first_reduce_writes_the_cache(self, experiment_dir):
         reduce_path(experiment_dir)
@@ -123,21 +137,127 @@ class TestCacheHit:
 
     def test_warm_two_directory_reduce_loads_the_image_once(
             self, experiment_dir, tmp_path, monkeypatch):
+        """A warm verb that shows no code loads no image; one that does
+        loads the first directory's image once."""
         second = _collect_to(tmp_path / "ref",
                              counters=("+ecref,53", "+dtlbm,11"))
         dirs = [experiment_dir, second]
         cold = run_command(reduce_experiments(dirs), "functions", [])
-        loads = []
-        original = Program.load
-
-        def counting_load(path):
-            loads.append(path)
-            return original(path)
-
-        monkeypatch.setattr(Program, "load", staticmethod(counting_load))
+        loads = _CountingLoads(monkeypatch)
         warm = run_command(reduce_experiments(dirs), "functions", [])
-        assert len(loads) == 1, f"warm reduce loaded {loads}"
+        assert loads.paths == [], f"warm functions loaded {loads.paths}"
         assert warm == cold
+        run_command(reduce_experiments(dirs), "data_single", ["structure:rec"])
+        assert loads.paths == [Path(experiment_dir) / "program.pkl"]
+
+
+@pytest.fixture(scope="module")
+def pristine_ref(tmp_path_factory):
+    return _collect_to(tmp_path_factory.mktemp("exps") / "ref",
+                       counters=("+ecref,53", "+dtlbm,11"))
+
+
+@pytest.fixture
+def pair(experiment_dir, pristine_ref, tmp_path):
+    """The paper's two-pass shape: private copies of two directories over
+    one program, the second recording other counters."""
+    second = tmp_path / "ref.er"
+    shutil.copytree(pristine_ref, second)
+    return [experiment_dir, str(second)]
+
+
+#: verbs whose reports show only metric tables, never code or layouts
+TABLE_VERBS = [
+    ("functions",), ("data_objects",), ("lines",), ("pages",),
+    ("overview",), ("callers-callees", "main"), ("header",),
+]
+
+#: verbs whose reports show code or struct layouts
+IMAGE_VERBS = [
+    ("data_single", "structure:rec"), ("source", "main"),
+    ("disasm", "main"), ("pcs", "ecrm"),
+]
+
+
+class TestProgramImageOnFirstRead:
+    """A reduction of saved directories unpickles ``program.pkl`` only when
+    a report reads :attr:`ReducedData.program`."""
+
+    @pytest.mark.parametrize("verb", TABLE_VERBS, ids=" ".join)
+    def test_warm_table_verb_loads_no_image(self, pair, verb, monkeypatch):
+        cold = run_command(reduce_experiments(pair), verb[0], list(verb[1:]))
+        loads = _CountingLoads(monkeypatch)
+        warm = run_command(reduce_experiments(pair), verb[0], list(verb[1:]))
+        assert loads.paths == []
+        assert warm == cold
+
+    @pytest.mark.parametrize("verb", IMAGE_VERBS, ids=" ".join)
+    def test_warm_image_verb_loads_the_first_image_once(self, pair, verb,
+                                                         monkeypatch):
+        cold = run_command(reduce_experiments(pair), verb[0], list(verb[1:]))
+        loads = _CountingLoads(monkeypatch)
+        warm = run_command(reduce_experiments(pair), verb[0], list(verb[1:]))
+        assert loads.paths == [Path(pair[0]) / "program.pkl"]
+        assert warm == cold
+
+    def test_cold_verb_loads_images_only_in_its_reducers(self, pair,
+                                                         monkeypatch):
+        loads = _CountingLoads(monkeypatch)
+        reduced = reduce_experiments(pair)
+        assert sorted(loads.paths) == sorted(
+            Path(directory) / "program.pkl" for directory in pair)
+        run_command(reduced, "functions", [])
+        assert len(loads.paths) == len(pair)
+
+    def test_mismatched_image_raises_when_a_report_reads_it(self, pair):
+        reduced = reduce_experiments(pair)
+        # the image changes between the reduce and the first read
+        build_executable("long main(long *i, long n) { return 0; }").save(
+            Path(pair[0]) / "program.pkl")
+        assert "<Total>" in run_command(reduced, "functions", [])
+        with pytest.raises(ValueError, match="program mismatch"):
+            run_command(reduced, "source", ["main"])
+
+    def test_shards_over_different_programs_do_not_merge(self, pair,
+                                                          tmp_path):
+        experiment = collect(
+            build_executable("long main(long *i, long n) { return 0; }"),
+            tiny_config(), CollectConfig(clock_profiling=True,
+                                         clock_interval=211))
+        other = str(experiment.save(tmp_path / "other"))
+        with pytest.raises(ValueError, match="different programs"):
+            reduce_experiments([pair[0], other])
+
+    @pytest.mark.parametrize("verb", [("functions",),
+                                      ("data_single", "structure:rec")],
+                             ids=" ".join)
+    def test_erprint_jobs_prints_what_a_sequential_run_prints(
+            self, pair, verb, capsys):
+        outputs = []
+        for flags in (["--jobs", "2"], ["--jobs", "2"], [], ["--no-cache"]):
+            assert erprint_main(pair + flags + list(verb)) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1:] == outputs[:1] * 3
+
+
+class TestAbsorb:
+    """In-place merging gives what the pure merge gives."""
+
+    def test_absorb_equals_merged_with_on_the_pair(self, pair):
+        a, b = (reduce_path(directory, use_cache=False) for directory in pair)
+        b_before = json.dumps(b.to_payload())
+        expected = a.merged_with(b)
+        assert a.absorb(b) is a
+        assert json.dumps(a.to_payload()) == json.dumps(expected.to_payload())
+        assert (json.dumps(a.canonical_payload())
+                == json.dumps(expected.canonical_payload()))
+        assert json.dumps(b.to_payload()) == b_before
+
+    def test_reduce_experiments_equals_merged_with(self, pair):
+        shards = [reduce_path(directory, use_cache=False) for directory in pair]
+        merged = reduce_experiments(pair, use_cache=False)
+        assert (json.dumps(merged.to_payload())
+                == json.dumps(shards[0].merged_with(shards[1]).to_payload()))
 
 
 class TestInvalidation:
