@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..compiler.program import Program
+from ..errors import ProgramMismatch
 
 # pseudo data objects (paper §3.2.5)
 UNSPECIFIED = "(Unspecified)"
@@ -228,7 +229,8 @@ class ReducedData:
         if other is self:
             raise ValueError("a reduction cannot absorb itself")
         if self.code_len and other.code_len and self.code_len != other.code_len:
-            raise ValueError("cannot merge experiments over different programs")
+            raise ProgramMismatch(
+                "cannot merge experiments over different programs")
         if self._program is None and self._image_path is None:
             self._program = other._program
             self._image_path = other._image_path
@@ -324,7 +326,7 @@ class ReducedData:
         if self._program is None and self._image_path is not None:
             program = Program.load(self._image_path)
             if self.code_len and len(program.code) != self.code_len:
-                raise ValueError(
+                raise ProgramMismatch(
                     f"program mismatch: reduction covers {self.code_len} "
                     f"instructions, image has {len(program.code)}"
                 )

@@ -12,14 +12,15 @@ memop info but no branch-target table ``(Unverifiable)``.
 Scaling (§4 of the paper, "aggregating by cache line and page"):
 
 * the reducer is a **streaming** pass — it folds the experiment's event
-  iterators, one event at a time, into weight sums per distinct
-  attribution key and then attributes each key once, so a saved
-  experiment opened with :meth:`Experiment.open_streaming` is never held
-  in memory whole.  The fold keeps one entry per distinct key, callstack
-  included, beside the result tables and the per-event sample lists:
-  at most one per event, and far fewer when callstacks repeat (30% of
-  the clock ticks and 12% of the counter events of a profiled MCF run,
-  DESIGN §8);
+  rows, one event at a time, into weight sums per distinct attribution
+  key and then attributes each key once, so a saved experiment opened
+  with :meth:`Experiment.open_streaming` is never held in memory whole.
+  The fold keeps one entry per distinct key, callstack included, beside
+  the result tables and the per-event sample lists: at most one per
+  event, and far fewer when callstacks repeat (30% of the clock ticks
+  and 12% of the counter events of a profiled MCF run, DESIGN §8).  A
+  key is converted to ints once, and each call path feeds the
+  inclusive and caller/callee tables once;
 * events with a recomputed effective address are additionally aggregated
   by **cache line** (the collecting machine's E$ line geometry) and by
   **virtual page** (each segment's page size), with per-line/per-page
@@ -42,7 +43,7 @@ from typing import NamedTuple, Optional
 from ..compiler import debuginfo
 from ..compiler.program import Program
 from ..errors import AnalysisError
-from ..collect.experiment import Experiment
+from ..collect.experiment import Experiment, int_array
 from ..isa.instructions import is_store
 from ..parallel import parallel_map
 from . import cache as reduction_cache
@@ -91,6 +92,11 @@ class _Reducer:
         self.branch_targets = sorted(self.program.branch_targets)
         self._func_cache: dict[int, Optional[str]] = {}
         self._verdicts: dict[tuple, _Verdict] = {}
+        #: (metric, leaf function, callstack) -> weight not yet fed to the
+        #: call-path tables (see :meth:`_flush_call_paths`)
+        self._call_paths: dict[tuple, float] = {}
+        #: callstack -> the names of its callers
+        self._callers: dict[tuple, list] = {}
         # data-space geometry: E$ line size from the collecting machine,
         # page size per segment from the loadobject map
         self.line_bytes = info.ecache_line_bytes or DEFAULT_LINE_BYTES
@@ -124,8 +130,11 @@ class _Reducer:
 
     def _attribute(self, metric_id: str, weight: float, pc: int,
                    callstack: tuple, artificial: bool = False) -> None:
+        """Feed the per-PC tables now; the call-path tables (``total``,
+        ``functions_incl``, ``caller_callee``) get the weight when
+        :meth:`_flush_call_paths` runs, once per (metric, leaf function,
+        callstack)."""
         reduced = self.reduced
-        reduced.total.add(metric_id, weight)
         record = reduced.record_pc(pc)
         record.metrics.add(metric_id, weight)
         if artificial:
@@ -136,17 +145,31 @@ class _Reducer:
         instr = self.program.instr_at(pc)
         if instr is not None and func_name is not None:
             reduced.lines[(func_name, instr.line)].add(metric_id, weight)
-        # inclusive + caller/callee attribution via the recorded callstack
-        chain: list[str] = []
-        for call_site in callstack:
-            caller = self._function_name(call_site)
-            chain.append(caller or f"<unknown 0x{call_site:x}>")
-        chain.append(leaf)
-        # first-seen order: a set's order would follow string hashing
-        for name in dict.fromkeys(chain):
-            reduced.functions_incl[name].add(metric_id, weight)
-        for caller, callee in zip(chain, chain[1:]):
-            reduced.caller_callee[(caller, callee)].add(metric_id, weight)
+        paths = self._call_paths
+        path = (metric_id, leaf, callstack)
+        paths[path] = paths.get(path, 0.0) + weight
+
+    def _flush_call_paths(self) -> None:
+        """Feed the call-path tables from the groups :meth:`_attribute`
+        collected, in first-occurrence order (DESIGN §8): inclusive
+        metrics per function and caller/callee pairs along the recorded
+        callstack."""
+        reduced = self.reduced
+        for (metric_id, leaf, callstack), weight in self._call_paths.items():
+            reduced.total.add(metric_id, weight)
+            chain = self._callers.get(callstack)
+            if chain is None:
+                chain = [self._function_name(call_site)
+                         or f"<unknown 0x{call_site:x}>"
+                         for call_site in callstack]
+                self._callers[callstack] = chain
+            chain = [*chain, leaf]
+            # first-seen order: a set's order would follow string hashing
+            for name in dict.fromkeys(chain):
+                reduced.functions_incl[name].add(metric_id, weight)
+            for caller, callee in zip(chain, chain[1:]):
+                reduced.caller_callee[(caller, callee)].add(metric_id, weight)
+        self._call_paths.clear()
 
     def _data_object_for(self, pc: int):
         """(object class, member key or None) for the instruction at pc."""
@@ -173,16 +196,21 @@ class _Reducer:
         if key is not None:
             self.reduced.data_members[key].add(metric_id, weight)
 
-    def _verdict(self, candidate: int, trap_pc: int) -> _Verdict:
+    def _verdict(self, candidate, trap_pc) -> _Verdict:
         """Validate a found candidate and classify its data object.
 
         Both depend on nothing but the (candidate, trap PC) pair, so each
-        pair is decided once per reduction.
+        pair is decided once per reduction, whether it is given as ints
+        or as a journal row's digits.
         """
         pair = (candidate, trap_pc)
         verdict = self._verdicts.get(pair)
-        if verdict is not None:
-            return verdict
+        if verdict is None:
+            verdict = self._verdicts[pair] = self._decide(int(candidate),
+                                                          int(trap_pc))
+        return verdict
+
+    def _decide(self, candidate: int, trap_pc: int) -> _Verdict:
         program = self.program
         blocker, key = None, None
         if program.has_branch_info(candidate):
@@ -198,10 +226,8 @@ class _Reducer:
             object_class = UNASCERTAINABLE
         label = f"{object_class}.{key.member}" if key is not None else object_class
         instr = program.instr_at(candidate)
-        verdict = _Verdict(blocker, object_class, key, label,
-                           instr is not None and is_store(instr))
-        self._verdicts[pair] = verdict
-        return verdict
+        return _Verdict(blocker, object_class, key, label,
+                        instr is not None and is_store(instr))
 
     # ------------------------------------------------------ data-space axes
 
@@ -255,8 +281,10 @@ class _Reducer:
             self._attribute("user_cpu", weight, pc, callstack)
             if self.multi_core:
                 reduced.threads[thread].add("user_cpu", weight)
+        self._flush_call_paths()
         for key, weight in self._fold_hwc().items():
             self._reduce_hwc(key, weight)
+        self._flush_call_paths()
 
         reduced.machine_totals = dict(info.totals)
         reduced.segments = [tuple(seg) for seg in info.segments]
@@ -269,13 +297,28 @@ class _Reducer:
         reduced.metric_ids = sorted(present, key=metric_sort_key)
         return reduced
 
+    # The folds read event rows (``Experiment.iter_*_rows``): a field is
+    # its value, or a canonical journal line's text of it, which int()
+    # reads alike; None stands for null or a field the line left off.
+    # Each distinct key is folded as read and converted to ints once, at
+    # the end.  A key read as text and the same key read as values (a
+    # line off the canonical form) convert to one int key; its weight is
+    # the exact sum of both, since every weight is an integer, and it
+    # keeps the place of its first line.
+
     def _fold_clock(self) -> dict:
         """(pc, callstack, thread) -> ticks over the clock journal."""
         multi_core = self.multi_core
+        read: dict = {}
+        for pc, _cycle, callstack, _core, thread in \
+                self.experiment.iter_clock_rows():
+            key = (pc, callstack, thread if multi_core else None)
+            read[key] = read.get(key, 0) + 1
         ticks: dict = {}
-        for event in self.experiment.iter_clock_events():
-            key = (event.pc, event.callstack, event.thread if multi_core else 0)
-            ticks[key] = ticks.get(key, 0) + 1
+        for (pc, callstack, thread), count in read.items():
+            key = (int(pc), int_array(callstack),
+                   0 if thread is None else int(thread))
+            ticks[key] = ticks.get(key, 0) + count
         return ticks
 
     def _fold_hwc(self) -> dict:
@@ -287,38 +330,47 @@ class _Reducer:
         multi_core = self.multi_core
         verdict = self._verdict
         account_data_space = self._account_data_space
-        attribution: dict = {}
-        for event in self.experiment.iter_hwc_events():
-            metric_id = event.event
+        latency_samples = reduced.latency_samples
+        address_samples = reduced.address_samples
+        read: dict = {}
+        for (_counter, metric_id, weight, trap_pc, candidate, ea, status,
+             _reason, _cycle, callstack, _coalesced, latency, scale, _core,
+             thread) in self.experiment.iter_hwc_rows():
             # a time-multiplexed counter was live for 1/scale of the run, so
             # each sample stands for scale times its weight (an estimate —
             # the journal header carries the multiplexed flag)
-            weight = float(event.weight) * event.scale
-            if event.latency is not None:
-                reduced.latency_samples[metric_id].append(
-                    (event.latency, weight)
-                )
-            thread = event.thread if multi_core else 0
-            status, candidate = event.status, event.candidate_pc
+            weight = float(weight)
+            if scale is not None:
+                weight *= int(scale)
+            if latency is not None:
+                latency_samples[metric_id].append((int(latency), weight))
             if status == "found" and candidate is not None:
-                ea = event.effective_address
                 if ea is not None:
-                    blocker, _cls, _key, label, store = verdict(
-                        candidate, event.trap_pc
-                    )
+                    blocker, _cls, _key, label, store = verdict(candidate,
+                                                                trap_pc)
                     if blocker is None:
-                        reduced.address_samples[metric_id].append((ea, weight))
+                        ea = int(ea)
+                        address_samples[metric_id].append((ea, weight))
                         account_data_space(
                             metric_id, weight, ea, label,
-                            thread if multi_core and store else None,
+                            (0 if thread is None else int(thread))
+                            if multi_core and store else None,
                         )
             else:
                 # a disabled or failed search is charged to the trap PC:
                 # its key drops the candidate
                 status = "disabled" if status == "disabled" else "not_found"
                 candidate = None
-            key = (metric_id, status, candidate, event.trap_pc,
-                   event.callstack, thread)
+            key = (metric_id, status, candidate, trap_pc, callstack,
+                   thread if multi_core else None)
+            read[key] = read.get(key, 0.0) + weight
+        attribution: dict = {}
+        for (metric_id, status, candidate, trap_pc, callstack, thread), \
+                weight in read.items():
+            key = (metric_id, status,
+                   None if candidate is None else int(candidate),
+                   int(trap_pc), int_array(callstack),
+                   0 if thread is None else int(thread))
             attribution[key] = attribution.get(key, 0.0) + weight
         return attribution
 

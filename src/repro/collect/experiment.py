@@ -43,11 +43,14 @@ truncated JSONL lines, and reports everything it skipped in
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .. import ioutil
 from ..compiler.program import Program
@@ -71,23 +74,6 @@ OPTIONAL_FILES = ("log.txt", "map.txt", "truth.jsonl")
 
 # ---------------------------------------------------------------- helpers
 
-#: compact journal-line encoder, built once: ``json.dumps`` with non-default
-#: separators constructs a fresh ``JSONEncoder`` on every call
-_encode_line = json.JSONEncoder(separators=(",", ":")).encode
-
-
-#: the types an optional integer field may hold on the wire
-_OPTIONAL_INT = (int, type(None))
-
-
-def _ints(values) -> bool:
-    """True when every value is an ``int`` (a ``bool`` is not one)."""
-    for value in values:
-        if type(value) is not int:
-            return False
-    return True
-
-
 def _normalize_dir(directory) -> Path:
     path = Path(directory)
     if path.suffix != ".er":
@@ -99,7 +85,8 @@ def _normalize_dir(directory) -> Path:
 #
 # Event records are slotted, not frozen: a reader builds one per journal
 # line, and a frozen dataclass pays an ``object.__setattr__`` per field.
-# Nothing mutates or hashes them.
+# Nothing mutates or hashes them.  Each record's journal line is defined
+# by its field table (see "The codec" below).
 
 @dataclass(slots=True)
 class HwcEvent:
@@ -134,66 +121,14 @@ class HwcEvent:
     thread: int = 0
 
     def to_json(self) -> str:
-        """Serialize to one JSON line.
-
-        The record is built field by field in declaration order — the
-        order ``dataclasses.asdict`` gave older recordings — so journals
-        stay byte-identical without deep-copying every trap.  A new field
-        must be added here too (a test pins the emitted keys to
-        :func:`dataclasses.fields`).
-        """
-        record = {
-            "counter": self.counter, "event": self.event,
-            "weight": self.weight, "trap_pc": self.trap_pc,
-            "candidate_pc": self.candidate_pc,
-            "effective_address": self.effective_address,
-            "status": self.status, "ea_reason": self.ea_reason,
-            "cycle": self.cycle, "callstack": list(self.callstack),
-            "coalesced": self.coalesced,
-        }
-        # keep journals byte-identical to pre-taxonomy recordings: the new
-        # fields appear on the wire only when they carry information
-        if self.latency is not None:
-            record["latency"] = self.latency
-        if self.scale != 1:
-            record["scale"] = self.scale
-        if self.core:
-            record["core"] = self.core
-        if self.thread:
-            record["thread"] = self.thread
-        return _encode_line(record)
+        """One journal line (:data:`HWC_RECORD`)."""
+        return HWC_RECORD.encode(self)
 
     @staticmethod
     def from_json(line: str, source: str = "", lineno: int = 0) -> "HwcEvent":
-        """Parse one JSON line back into an event.
-
-        Malformed input (bad JSON, missing keys, wrong shapes, a field of
-        the wrong type) raises :class:`ExperimentCorrupt` carrying
-        ``source``/``lineno`` context instead of leaking raw
-        json/KeyError/TypeError.
-        """
-        try:
-            record = json.loads(line)
-            record["callstack"] = tuple(record["callstack"])
-            event = HwcEvent(**record)
-            if not (
-                type(event.counter) is type(event.weight)
-                is type(event.trap_pc) is type(event.cycle)
-                is type(event.coalesced) is type(event.scale)
-                is type(event.core) is type(event.thread) is int
-                and type(event.event) is type(event.status)
-                is type(event.ea_reason) is str
-                and type(event.candidate_pc) in _OPTIONAL_INT
-                and type(event.effective_address) in _OPTIONAL_INT
-                and type(event.latency) in _OPTIONAL_INT
-                and _ints(event.callstack)
-            ):
-                raise TypeError("a field has the wrong type")
-            return event
-        except (ValueError, KeyError, TypeError, AttributeError) as error:
-            raise ExperimentCorrupt(
-                f"bad HWC event: {error}", file=source, line=lineno
-            ) from error
+        """Parse one journal line; damage raises :class:`ExperimentCorrupt`
+        carrying ``source``/``lineno`` (:meth:`Record.decode`)."""
+        return HWC_RECORD.decode(line, source, lineno)
 
 
 @dataclass(slots=True)
@@ -232,49 +167,13 @@ class TruthEvent:
     thread: int = 0
 
     def to_json(self) -> str:
-        """Serialize to one JSON line (field by field, as in
-        :meth:`HwcEvent.to_json`)."""
-        record = {
-            "seq": self.seq, "counter": self.counter, "event": self.event,
-            "trap_pc": self.trap_pc, "cycle": self.cycle,
-            "true_trigger_pc": self.true_trigger_pc,
-            "true_effective_address": self.true_effective_address,
-            "true_skid": self.true_skid, "coalesced": self.coalesced,
-            "regs": list(self.regs),
-        }
-        # as in HwcEvent.to_json: absent unless it carries information
-        if self.true_latency is not None:
-            record["true_latency"] = self.true_latency
-        if self.core:
-            record["core"] = self.core
-        if self.thread:
-            record["thread"] = self.thread
-        return _encode_line(record)
+        """One journal line (:data:`TRUTH_RECORD`)."""
+        return TRUTH_RECORD.encode(self)
 
     @staticmethod
     def from_json(line: str, source: str = "", lineno: int = 0) -> "TruthEvent":
-        """Parse one JSON line back into an event (see HwcEvent.from_json)."""
-        try:
-            record = json.loads(line)
-            record["regs"] = tuple(record["regs"])
-            event = TruthEvent(**record)
-            if not (
-                type(event.seq) is type(event.counter)
-                is type(event.trap_pc) is type(event.cycle)
-                is type(event.true_trigger_pc) is type(event.true_skid)
-                is type(event.coalesced) is type(event.core)
-                is type(event.thread) is int
-                and type(event.event) is str
-                and type(event.true_effective_address) in _OPTIONAL_INT
-                and type(event.true_latency) in _OPTIONAL_INT
-                and _ints(event.regs)
-            ):
-                raise TypeError("a field has the wrong type")
-            return event
-        except (ValueError, KeyError, TypeError, AttributeError) as error:
-            raise ExperimentCorrupt(
-                f"bad truth event: {error}", file=source, line=lineno
-            ) from error
+        """Parse one journal line (see :meth:`HwcEvent.from_json`)."""
+        return TRUTH_RECORD.decode(line, source, lineno)
 
 
 @dataclass(slots=True)
@@ -290,37 +189,246 @@ class ClockEvent:
     thread: int = 0
 
     def to_json(self) -> str:
-        """Serialize to one JSON line."""
-        record = {
-            "pc": self.pc, "cycle": self.cycle,
-            "callstack": list(self.callstack),
-        }
-        if self.core:
-            record["core"] = self.core
-        if self.thread:
-            record["thread"] = self.thread
-        return _encode_line(record)
+        """One journal line (:data:`CLOCK_RECORD`)."""
+        return CLOCK_RECORD.encode(self)
 
     @staticmethod
     def from_json(line: str, source: str = "", lineno: int = 0) -> "ClockEvent":
-        """Parse one JSON line back into an event (see HwcEvent.from_json)."""
+        """Parse one journal line (see :meth:`HwcEvent.from_json`)."""
+        return CLOCK_RECORD.decode(line, source, lineno)
+
+
+# ------------------------------------------------------------------ codec
+#
+# One field table per event record drives its journal line both ways
+# (DESIGN §7).  An entry gives a field's name, its wire type and, for a
+# field a line may leave off, the value it then reads as.  From the table
+# a Record generates the encoder, whose lines are byte-identical to the
+# ``json.dumps`` lines every journal was written with; the type check of
+# a decoded JSON object; and the pattern of the canonical line the
+# encoder writes.  A line the pattern matches decodes from the match
+# groups, without ``json.loads``; every other line (whitespace, escapes,
+# another key order, ``-0``, an older format or damage) goes through
+# ``json.loads`` and the type check, and decodes to the same values.
+
+INT = "int"
+OPT_INT = "optional int"
+STR = "string"
+INTS = "int array"
+
+#: the default of a field every line must carry
+REQUIRED = MISSING
+
+
+class Field(NamedTuple):
+    """One entry of a record's field table."""
+
+    name: str
+    wire: str
+    #: what a line that leaves the field off reads as (REQUIRED: a line
+    #: must carry it)
+    default: object = REQUIRED
+    #: the encoder writes the field even while it holds its default (a
+    #: field that only older journals lack)
+    always_written: bool = False
+
+    @property
+    def elided(self) -> bool:
+        """The encoder leaves the field off while it holds its default."""
+        return self.default is not REQUIRED and not self.always_written
+
+
+#: a canonical integer: no sign on zero, no leading zero, at most 20
+#: digits (every recorded value fits 64 bits; a longer one takes the
+#: general path, where json's own digit limit applies)
+_DIGITS = r"(?:0|-?[1-9][0-9]{0,19})"
+
+#: one capturing group per field, holding what ``decode_row`` gives: an
+#: int's digits, an optional int's digits (no group, so None, for null),
+#: the characters of a string the encoder writes unescaped (printable
+#: ASCII but the quote and the backslash), an int array's comma-joined
+#: digits ("" when empty)
+_PATTERNS = {
+    INT: f"({_DIGITS})",
+    OPT_INT: f"(?:null|({_DIGITS}))",
+    STR: r'"([ !#-\[\]-~]*)"',
+    INTS: rf"\[({_DIGITS}(?:,{_DIGITS})*|)\]",
+}
+
+#: the encoder's f-string replacement field per wire type
+_WRITERS = {
+    INT: "{e.%(name)s}",
+    OPT_INT: '{"null" if e.%(name)s is None else e.%(name)s}',
+    STR: "{_string(e.%(name)s)}",
+    INTS: "[{_join(map(str, e.%(name)s))}]",
+}
+
+_CHECKS = {
+    INT: lambda value: type(value) is int,
+    OPT_INT: lambda value: value is None or type(value) is int,
+    STR: lambda value: type(value) is str,
+    INTS: lambda value: type(value) is list
+    and all(type(item) is int for item in value),
+}
+
+
+def int_array(raw) -> tuple:
+    """An int-array field of a row: a tuple already, or a canonical
+    line's comma-joined digits."""
+    if type(raw) is not str:
+        return raw
+    return tuple(map(int, raw.split(","))) if raw else ()
+
+
+_READERS = {INT: int, OPT_INT: int, STR: str, INTS: int_array}
+
+
+class Record:
+    """The journal codec of one event record, generated from its field
+    table (which must list the dataclass's fields, in order, with the
+    same defaults)."""
+
+    def __init__(self, cls, label: str, table) -> None:
+        self.cls, self.label, self.table = cls, label, tuple(table)
+        declared = [(f.name, f.default) for f in fields(cls)]
+        if declared != [(entry.name, entry.default) for entry in self.table]:
+            raise TypeError(f"{cls.__name__}: field table does not match "
+                            "the dataclass")
+        self._names = frozenset(entry.name for entry in self.table)
+        #: a decoded event's field values, in table order
+        self.row_of = attrgetter(*(entry.name for entry in self.table))
+        self.encode = self._encoder()
+        self.pattern = re.compile(self._pattern())
+        self._match = self.pattern.fullmatch
+        #: (reader of a match group, value when the group is absent)
+        self._readers = [
+            (_READERS[entry.wire], entry.default if entry.elided else None)
+            for entry in self.table
+        ]
+
+    def _encoder(self):
+        """Generate ``encode(event) -> line``: one f-string of the fields
+        always written, then one append per elided field."""
+        written = [entry for entry in self.table if not entry.elided]
+        elided = self.table[len(written):]
+        if not written or not all(entry.elided for entry in elided):
+            raise TypeError(f"{self.cls.__name__}: elided fields must "
+                            "follow the fields always written")
+
+        def text(entry):
+            return f'"{entry.name}":' + _WRITERS[entry.wire] % {
+                "name": entry.name}
+
+        body = ["line = f'{{" + ",".join(map(text, written)) + "'"]
+        for entry in elided:
+            test = ("is not None" if entry.default is None
+                    else f"!= {entry.default!r}")
+            body.append(f"if e.{entry.name} {test}: line += f',{text(entry)}'")
+        source = "\n    ".join(["def encode(e):", *body, 'return line + "}"'])
+        namespace = {"_string": encode_basestring_ascii, "_join": ",".join}
+        exec(source, namespace)
+        return namespace["encode"]
+
+    def _pattern(self) -> str:
+        """The canonical line: every field in table order, an elided one
+        optional (written with its default, it decodes to the same
+        value), and at most the line's own newline after it."""
+        parts = []
+        for index, entry in enumerate(self.table):
+            part = (("," if index else "") + f'"{entry.name}":'
+                    + _PATTERNS[entry.wire])
+            parts.append(f"(?:{part})?" if entry.elided else part)
+        return r"\{" + "".join(parts) + r"\}\n?"
+
+    def _load(self, line: str) -> list:
+        """The field values of any line, through ``json.loads`` and the
+        type check; raises ``ValueError`` on a damaged line."""
+        record = json.loads(line)
+        if type(record) is not dict:
+            raise ValueError("not a JSON object")
+        for key in record:
+            if key not in self._names:
+                raise ValueError(f"unknown key {key!r}")
+        values = []
+        for name, wire, default, _always_written in self.table:
+            if name in record:
+                value = record[name]
+                if not _CHECKS[wire](value):
+                    raise ValueError(f"{name} has the wrong type")
+                values.append(tuple(value) if wire == INTS else value)
+            elif default is REQUIRED:
+                raise ValueError(f"missing key {name!r}")
+            else:
+                values.append(default)
+        return values
+
+    def decode_row(self, line: str, source: str = "", lineno: int = 0) -> tuple:
+        """One line's field values, in table order, without building an
+        event.  A canonical line leaves them as its text: an int as its
+        digits, an int array as :func:`int_array` reads it, and None for
+        null or a field the line left off (its default).  Any other line
+        gives the values themselves.  ``int()`` reads either form.  A
+        damaged line raises :class:`ExperimentCorrupt` carrying
+        ``source``/``lineno``."""
+        match = self._match(line)
+        if match is not None:
+            return match.groups()
         try:
-            record = json.loads(line)
-            event = ClockEvent(
-                record["pc"], record["cycle"], tuple(record["callstack"]),
-                record.get("core", 0), record.get("thread", 0),
-            )
-            if not (
-                type(event.pc) is type(event.cycle) is type(event.core)
-                is type(event.thread) is int
-                and _ints(event.callstack)
-            ):
-                raise TypeError("a field has the wrong type")
-            return event
-        except (ValueError, KeyError, TypeError, AttributeError) as error:
-            raise ExperimentCorrupt(
-                f"bad clock event: {error}", file=source, line=lineno
-            ) from error
+            return tuple(self._load(line))
+        except ValueError as error:
+            raise ExperimentCorrupt(f"bad {self.label}: {error}", file=source,
+                                    line=lineno) from error
+
+    def decode(self, line: str, source: str = "", lineno: int = 0):
+        """One event from a journal line (see :meth:`decode_row`)."""
+        return self.cls(*[
+            missing if raw is None else read(raw)
+            for (read, missing), raw in zip(
+                self._readers, self.decode_row(line, source, lineno))
+        ])
+
+
+HWC_RECORD = Record(HwcEvent, "HWC event", (
+    Field("counter", INT),
+    Field("event", STR),
+    Field("weight", INT),
+    Field("trap_pc", INT),
+    Field("candidate_pc", OPT_INT),
+    Field("effective_address", OPT_INT),
+    Field("status", STR),
+    Field("ea_reason", STR),
+    Field("cycle", INT),
+    Field("callstack", INTS),
+    Field("coalesced", INT, 1, always_written=True),
+    Field("latency", OPT_INT, None),
+    Field("scale", INT, 1),
+    Field("core", INT, 0),
+    Field("thread", INT, 0),
+))
+
+TRUTH_RECORD = Record(TruthEvent, "truth event", (
+    Field("seq", INT),
+    Field("counter", INT),
+    Field("event", STR),
+    Field("trap_pc", INT),
+    Field("cycle", INT),
+    Field("true_trigger_pc", INT),
+    Field("true_effective_address", OPT_INT),
+    Field("true_skid", INT),
+    Field("coalesced", INT),
+    Field("regs", INTS),
+    Field("true_latency", OPT_INT, None),
+    Field("core", INT, 0),
+    Field("thread", INT, 0),
+))
+
+CLOCK_RECORD = Record(ClockEvent, "clock event", (
+    Field("pc", INT),
+    Field("cycle", INT),
+    Field("callstack", INTS),
+    Field("core", INT, 0),
+    Field("thread", INT, 0),
+))
 
 
 @dataclass
@@ -486,23 +594,41 @@ class Experiment:
         profile never has to fit in memory.
         """
         if self._stream_dir is None:
-            yield from self.clock_events
-            return
-        yield from Experiment._iter_jsonl(
-            self._stream_dir / "clock.jsonl", ClockEvent.from_json,
-            self._stream_strict, self.salvage,
-        )
+            return iter(self.clock_events)
+        return self._iter_journals(["clock.jsonl"], CLOCK_RECORD.decode)
 
     def iter_hwc_events(self):
         """HW-counter events, grouped per journal file in file order (the
         same order :meth:`open` materializes them in).  Streams from disk
         for :meth:`open_streaming` experiments."""
         if self._stream_dir is None:
-            yield from self.hwc_events
-            return
-        for hwc_file in sorted(self._stream_dir.glob("hwc*.jsonl")):
+            return iter(self.hwc_events)
+        return self._iter_journals(self._hwc_files(), HWC_RECORD.decode)
+
+    def iter_clock_rows(self):
+        """The field values of each clock event, in the order of
+        :meth:`iter_clock_events`, without building events: a journal
+        line's as :meth:`Record.decode_row` leaves them, an in-memory
+        event's as :attr:`Record.row_of` reads them."""
+        if self._stream_dir is None:
+            return map(CLOCK_RECORD.row_of, self.clock_events)
+        return self._iter_journals(["clock.jsonl"], CLOCK_RECORD.decode_row)
+
+    def iter_hwc_rows(self):
+        """The field values of each HW-counter event, in the order of
+        :meth:`iter_hwc_events` (see :meth:`iter_clock_rows`)."""
+        if self._stream_dir is None:
+            return map(HWC_RECORD.row_of, self.hwc_events)
+        return self._iter_journals(self._hwc_files(), HWC_RECORD.decode_row)
+
+    def _hwc_files(self) -> list:
+        return sorted(path.name for path in self._stream_dir.glob("hwc*.jsonl"))
+
+    def _iter_journals(self, names, parse):
+        """Parse the named journals of a streaming experiment, in order."""
+        for name in names:
             yield from Experiment._iter_jsonl(
-                hwc_file, HwcEvent.from_json, self._stream_strict,
+                self._stream_dir / name, parse, self._stream_strict,
                 self.salvage,
             )
 
@@ -527,7 +653,7 @@ class Experiment:
             yield from self.truth_events
             return
         yield from Experiment._iter_jsonl(
-            truth_file, TruthEvent.from_json, strict, salvage
+            truth_file, TRUTH_RECORD.decode, strict, salvage
         )
 
     # ------------------------------------------------------------- journal
@@ -912,6 +1038,12 @@ __all__ = [
     "HwcEvent",
     "ClockEvent",
     "TruthEvent",
+    "Field",
+    "Record",
+    "HWC_RECORD",
+    "TRUTH_RECORD",
+    "CLOCK_RECORD",
+    "int_array",
     "SalvageReport",
     "ManifestFinding",
     "FORMAT_VERSION",

@@ -111,6 +111,11 @@ class AnalysisError(ReproError):
     """Data reduction or report generation failure."""
 
 
+class ProgramMismatch(AnalysisError, ValueError):
+    """Reductions, or a reduction and a program image, over different
+    programs (a ``ValueError`` too, as merges raised before this class)."""
+
+
 class FleetError(ReproError):
     """Fleet ingestion / aggregation service failure."""
 

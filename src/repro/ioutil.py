@@ -130,28 +130,36 @@ def scan_jsonl(path, parse, stats: ScanStats, strict: bool = True):
         stream = open(path, errors="replace")
     except FileNotFoundError:
         return
+    # the tallies live in locals and are settled once, when the scan ends
+    # or is abandoned: attribute updates per line were a measurable share
+    # of a reduce
+    read = skipped = 0
     damaged = None
     line = "\n"
-    with stream:
-        for lineno, line in enumerate(stream, 1):
-            if not line.strip():
-                continue
-            if damaged is not None and strict:
-                raise damaged
-            stats.lines_read += 1
-            try:
-                record = parse(line, name, lineno)
-            except (ValueError, ReproError) as error:
-                damaged = error
-                stats.lines_skipped += 1
-                if not stats.first_error:
-                    stats.first_error = str(error)
-                continue
-            damaged = None
-            stats.lines_kept += 1
-            yield record
-    stats.torn = damaged
-    stats.terminated = line.endswith("\n")
+    try:
+        with stream:
+            for lineno, line in enumerate(stream, 1):
+                if line.isspace():
+                    continue
+                if damaged is not None and strict:
+                    raise damaged
+                read += 1
+                try:
+                    record = parse(line, name, lineno)
+                except (ValueError, ReproError) as error:
+                    damaged = error
+                    skipped += 1
+                    if not stats.first_error:
+                        stats.first_error = str(error)
+                    continue
+                damaged = None
+                yield record
+        stats.torn = damaged
+        stats.terminated = line.endswith("\n")
+    finally:
+        stats.lines_read += read
+        stats.lines_skipped += skipped
+        stats.lines_kept += read - skipped
 
 
 def record_parser(key: str):

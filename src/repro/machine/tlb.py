@@ -29,6 +29,7 @@ class TLB:
         "refs",
         "_capacity",
         "_seg_cache",
+        "_seg_other",
         "_seg_base",
         "_seg_end",
         "_seg_tag",
@@ -47,6 +48,8 @@ class TLB:
         self.misses = 0
         self._capacity = config.entries
         self._seg_cache: Segment | None = None
+        #: the segment resolved before ``_seg_cache``
+        self._seg_other: Segment | None = None
         self._seg_base = 0
         self._seg_end = 0
         self._seg_tag = 0
@@ -58,21 +61,28 @@ class TLB:
         self.refs = 0
         self.misses = 0
         self._seg_cache = None
+        self._seg_other = None
         self._seg_base = 0
         self._seg_end = 0
 
     def lookup(self, addr: int, memory: Memory) -> bool:
         """Translate ``addr``; returns True on TLB hit.
 
-        Segment resolution caches the last segment because accesses are
-        heavily clustered (the same reason real TLBs work at all).  The
-        bounds are cached as plain ints so the common same-segment case
-        costs no attribute traffic; ``_seg_cache`` keeps the Segment object
-        itself for callers that want it after a lookup.
+        Segment resolution caches the last two segments because accesses
+        are heavily clustered (the same reason real TLBs work at all), and
+        a program such as MCF alternates between its stack and its heap.
+        The current segment's bounds are cached as plain ints so the
+        common same-segment case costs no attribute traffic;
+        ``_seg_cache`` keeps the Segment object itself for callers that
+        want it after a lookup.  Only an address in neither segment scans
+        the segment map.
         """
         self.refs += 1
         if not self._seg_base <= addr < self._seg_end:
-            seg = memory.segment_for(addr)
+            seg = self._seg_other
+            if seg is None or not seg.base <= addr < seg.end:
+                seg = memory.segment_for(addr)
+            self._seg_other = self._seg_cache
             self._seg_cache = seg
             self._seg_base = seg.base
             self._seg_end = seg.end

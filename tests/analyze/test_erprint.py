@@ -86,6 +86,20 @@ class TestMain:
     def test_bad_directory_is_error(self, capsys):
         assert main(["/nonexistent/exp.er", "functions"]) == 1
 
+    @pytest.mark.parametrize("cache", [[], ["--no-cache"]], ids=["", "no-cache"])
+    def test_experiments_of_different_programs_are_an_error_line(
+            self, experiment_dir, tmp_path, cache, capsys):
+        other = collect(
+            build_executable("long main(long *i, long n) { return 0; }"),
+            tiny_config(), CollectConfig(clock_profiling=True,
+                                         clock_interval=211),
+        ).save(tmp_path / "other")
+        assert main([experiment_dir, str(other), *cache, "functions"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cannot merge experiments over different programs\n")
+
     def test_help(self, capsys):
         assert main(["--help"]) == 0
         assert "er_print" in capsys.readouterr().out

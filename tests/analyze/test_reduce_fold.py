@@ -84,7 +84,31 @@ SEGMENTS = [["data", 0x200000, 0x1000, 8192], ["heap", 0x400000, 0x8000, 65536]]
 
 class PerEventReducer(_Reducer):
     """The reducer before folding: every event walks the attribution on
-    its own, in stream order."""
+    its own, in stream order, and feeds every table at once (its own
+    :meth:`_attribute`, not the reducer's grouped one)."""
+
+    def _attribute(self, metric_id, weight, pc, callstack, artificial=False):
+        reduced = self.reduced
+        reduced.total.add(metric_id, weight)
+        record = reduced.record_pc(pc)
+        record.metrics.add(metric_id, weight)
+        if artificial:
+            record.is_branch_target_artifact = True
+        func_name = self._function_name(pc)
+        leaf = func_name or f"<unknown 0x{pc:x}>"
+        reduced.functions[leaf].add(metric_id, weight)
+        instr = self.program.instr_at(pc)
+        if instr is not None and func_name is not None:
+            reduced.lines[(func_name, instr.line)].add(metric_id, weight)
+        chain = []
+        for call_site in callstack:
+            caller = self._function_name(call_site)
+            chain.append(caller or f"<unknown 0x{call_site:x}>")
+        chain.append(leaf)
+        for name in dict.fromkeys(chain):
+            reduced.functions_incl[name].add(metric_id, weight)
+        for caller, callee in zip(chain, chain[1:]):
+            reduced.caller_callee[(caller, callee)].add(metric_id, weight)
 
     def run(self):
         experiment = self.experiment
@@ -314,6 +338,31 @@ class TestFoldMatchesPerEvent:
         assert reduced.total["ecrm"] == 13 * (len(hwc) - 1) + 13 * 4
         assert {1, 2} <= {thread for _line, thread in reduced.cache_line_writers}
         assert reduced.threads[1]["user_cpu"] == 2 * 211
+        fold, reference = _payloads(experiment)
+        assert fold == reference
+
+
+    def test_many_pcs_under_one_callstack(self):
+        """Every PC of ``reader`` ticks and traps under one call path, so
+        the call-path tables get one group per metric and leaf function;
+        ``helper`` and the runtime appear only in the counter phase, and
+        a recursion-like chain repeats a caller."""
+        stack = (CALL_SITES[0], CALL_SITES[1])
+        repeated = (CALL_SITES[0], CALL_SITES[1], CALL_SITES[0])
+        heap = SEGMENTS[1][1]
+        clock = [ClockEvent(pc, 0, stack) for pc in _pcs("reader")] * 2
+        clock += [ClockEvent(pc, 0, repeated) for pc in _pcs("main")[:5]]
+        hwc = [_hwc(pc, pc, ea=heap + 8 * n, callstack=stack)
+               for n, pc in enumerate(_memops("reader"))]
+        hwc += [_hwc(pc, pc + 4, callstack=stack, event="ecstall")
+                for pc in _pcs("helper") + _pcs("zero_memory")[:4]]
+        hwc += [_hwc(None, pc, status="not_found", callstack=repeated)
+                for pc in _pcs("reader")[:6]]
+        experiment = _experiment(clock, hwc)
+        reduced = _Reducer(experiment).run()
+        incl = list(reduced.functions_incl)
+        assert incl.index("helper") > incl.index("reader")
+        assert reduced.caller_callee[("main", "main")]["user_cpu"] > 0
         fold, reference = _payloads(experiment)
         assert fold == reference
 

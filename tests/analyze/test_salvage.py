@@ -203,6 +203,35 @@ class TestSalvageOpen:
         with pytest.raises(ExperimentCorrupt, match="wrong type"):
             parse(path.read_text().splitlines()[1], name, 2)
 
+    @pytest.mark.parametrize("name, parse, key, value", [
+        ("hwc0.jsonl", HwcEvent.from_json, "callstack", ""),
+        ("hwc0.jsonl", HwcEvent.from_json, "callstack", {}),
+        ("clock.jsonl", ClockEvent.from_json, "callstack", ""),
+        ("clock.jsonl", ClockEvent.from_json, "callstack", {}),
+        ("truth.jsonl", TruthEvent.from_json, "regs", ""),
+        ("truth.jsonl", TruthEvent.from_json, "regs", {}),
+        ("clock.jsonl", ClockEvent.from_json, "foo", 1),
+        ("hwc0.jsonl", HwcEvent.from_json, "foo", 1),
+        ("truth.jsonl", TruthEvent.from_json, "foo", 1),
+    ])
+    def test_one_damage_rule_for_every_journal(self, saved, name, parse,
+                                               key, value):
+        """An empty string or object where an int array belongs, or an
+        unknown key, damages a line of each journal alike: salvage skips
+        and counts it, and a strict scan refuses it."""
+        path = saved / name
+        lines = len(path.read_text().splitlines())
+        _retype(path, key, value)
+        stats = Experiment.open(saved, strict=False).salvage.files[name]
+        assert (stats.lines_read, stats.lines_skipped,
+                stats.lines_kept) == (lines, 1, lines - 1)
+        if name != "truth.jsonl":
+            reduced = reduce_experiment(Experiment.open(saved, strict=False))
+            assert reduced.incomplete and name in reduced.incomplete_reason
+        with pytest.raises(ExperimentCorrupt):
+            list(ioutil.scan_jsonl(path, parse, ioutil.ScanStats(),
+                                   strict=True))
+
     def test_deleted_optional_files_tolerated(self, saved):
         (saved / "log.txt").unlink()
         (saved / "map.txt").unlink()

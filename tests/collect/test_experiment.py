@@ -1,7 +1,8 @@
 """Tests for the experiment directory format (save/open round-trip)."""
 
 import json
-from dataclasses import asdict, fields
+import re
+from dataclasses import MISSING, asdict, astuple, fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,12 +10,16 @@ from hypothesis import given, settings, strategies as st
 from repro import build_executable, tiny_config
 from repro.collect.collector import CollectConfig, collect
 from repro.collect.experiment import (
+    CLOCK_RECORD,
+    HWC_RECORD,
+    TRUTH_RECORD,
     ClockEvent,
     Experiment,
     HwcEvent,
     TruthEvent,
+    int_array,
 )
-from repro.errors import ExperimentError
+from repro.errors import ExperimentCorrupt, ExperimentError
 
 SRC = """
 long main(long *input, long n) {
@@ -90,6 +95,17 @@ def _asdict_truth_line(event: TruthEvent) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
+def _asdict_clock_line(event: ClockEvent) -> str:
+    """The ``asdict`` reference encoder for clock journals."""
+    record = asdict(event)
+    record["callstack"] = list(event.callstack)
+    if record["core"] == 0:
+        del record["core"]
+    if record["thread"] == 0:
+        del record["thread"]
+    return json.dumps(record, separators=(",", ":"))
+
+
 _addresses = st.integers(min_value=0, max_value=(1 << 64) - 1)
 _words = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
 _counts = st.integers(min_value=0, max_value=1 << 48)
@@ -141,8 +157,18 @@ _truth_events = st.builds(
 )
 
 
+_clock_events = st.builds(
+    ClockEvent,
+    pc=_addresses,
+    cycle=_counts,
+    callstack=_callstacks,
+    core=_cores,
+    thread=_threads,
+)
+
+
 class TestEncoderEquivalence:
-    """The field-by-field journal encoders against the ``asdict`` ones
+    """The table-generated journal encoders against the ``asdict`` ones
     every committed journal was written with."""
 
     @settings(max_examples=300, deadline=None)
@@ -158,6 +184,13 @@ class TestEncoderEquivalence:
         line = event.to_json()
         assert line == _asdict_truth_line(event)
         assert TruthEvent.from_json(line) == event
+
+    @settings(max_examples=200, deadline=None)
+    @given(_clock_events)
+    def test_clock_line_is_byte_identical(self, event):
+        line = event.to_json()
+        assert line == _asdict_clock_line(event)
+        assert ClockEvent.from_json(line) == event
 
     def test_hwc_emittable_keys_are_every_field(self):
         # every optional field set to a value that is not elided: a field
@@ -179,6 +212,190 @@ class TestEncoderEquivalence:
         )
         emitted = json.loads(event.to_json())
         assert list(emitted) == [f.name for f in fields(TruthEvent)]
+
+
+# ------------------------------------------------- canonical-line decoding
+
+_RECORDS = {HwcEvent: HWC_RECORD, TruthEvent: TRUTH_RECORD,
+            ClockEvent: CLOCK_RECORD}
+
+DAMAGED = object()
+
+
+def _reference_values(cls, line):
+    """``json.loads`` plus DESIGN §7's type check, written from the
+    dataclass declarations alone: a line's field values, or DAMAGED."""
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return DAMAGED
+    declared = fields(cls)
+    if type(record) is not dict or not set(record) <= {
+            f.name for f in declared}:
+        return DAMAGED
+    values = []
+    for f in declared:
+        if f.name not in record:
+            if f.default is MISSING:
+                return DAMAGED
+            values.append(f.default)
+            continue
+        value = record[f.name]
+        if f.type == "tuple":
+            if type(value) is not list or any(type(v) is not int
+                                              for v in value):
+                return DAMAGED
+            value = tuple(value)
+        elif not {"str": type(value) is str,
+                  "int": type(value) is int,
+                  "Optional[int]": value is None or type(value) is int,
+                  }[f.type]:
+            return DAMAGED
+        values.append(value)
+    return tuple(values)
+
+
+def _row_values(cls, row):
+    """A decoded row read back as the reducer reads it."""
+    values = []
+    for f, raw in zip(fields(cls), row):
+        if f.type == "tuple":
+            values.append(int_array(raw))
+        elif f.type == "str":
+            values.append(raw)
+        elif raw is None:
+            values.append(None if f.type == "Optional[int]" else f.default)
+        else:
+            values.append(int(raw))
+    return tuple(values)
+
+
+#: a string the encoder writes without escapes
+_PLAIN = re.compile(r'[ !#-\[\]-~]*')
+
+#: a value in an object or an array (not a key)
+_VALUE = re.compile(r'(?<=[:\[,])(-?[0-9]+|null|true|"[^"\\]*"(?!:))')
+
+_MUTATIONS = ("digit", "insert", "delete", "value", "escape", "space",
+              "reorder", "key", "bom", "tail")
+
+
+def _mutate(data, line: str) -> str:
+    """One random edit of a journal line, from the ways a line can leave
+    the canonical form: still valid, or damaged."""
+    draw = data.draw
+    kind = draw(st.sampled_from(_MUTATIONS))
+    if kind == "digit":
+        digits = [i for i, char in enumerate(line) if char.isdigit()]
+        if digits:
+            i = draw(st.sampled_from(digits))
+            line = line[:i] + draw(st.sampled_from("0159")) + line[i + 1:]
+    elif kind == "insert":
+        i = draw(st.integers(0, len(line)))
+        line = line[:i] + draw(st.sampled_from(list('09-"\\ ,.e{}[]:'))) \
+            + line[i:]
+    elif kind == "delete":
+        i = draw(st.integers(0, len(line) - 1))
+        line = line[:i] + line[i + 1:]
+    elif kind == "value":
+        matches = list(_VALUE.finditer(line))
+        if matches:
+            match = draw(st.sampled_from(matches))
+            text = match.group()
+            new = draw(st.sampled_from([
+                "-0", "0" + text, "-" + text, text + ".0", "1e2", "true",
+                "null", '"x"', '""', "[]", "{}", "1" * 25,
+            ]))
+            line = line[:match.start()] + new + line[match.end():]
+    elif kind == "escape":
+        strings = list(re.finditer(r'"([^"\\]+)"', line))
+        if strings:
+            match = draw(st.sampled_from(strings))
+            j = draw(st.integers(match.start(1), match.end(1) - 1))
+            line = line[:j] + f"\\u{ord(line[j]):04x}" + line[j + 1:]
+    elif kind == "space":
+        i = draw(st.sampled_from([i + 1 for i, char in enumerate(line)
+                                  if char in ":,"] or [0]))
+        line = line[:i] + draw(st.sampled_from([" ", "\t", "\n"])) + line[i:]
+    elif kind == "reorder":
+        try:
+            record = json.loads(line)
+        except ValueError:
+            return line
+        if type(record) is dict:
+            keys = draw(st.permutations(list(record)))
+            line = json.dumps({key: record[key] for key in keys},
+                              separators=(",", ":"))
+    elif kind == "key":
+        i = line.rfind("}")
+        if i > 0:
+            extra = draw(st.sampled_from([
+                '"foo":1', '"scale":1', '"scale":3', '"thread":0',
+                '"thread":2', '"latency":null', '"true_latency":null',
+                '"core":3', '"coalesced":2', '"callstack":[]']))
+            line = line[:i] + "," + extra + line[i:]
+    elif kind == "bom":
+        line = "\ufeff" + line
+    else:
+        line += draw(st.sampled_from(["\x0c", " ", "\n", "\n\n", "x", "}"]))
+    return line
+
+
+class TestCanonicalLines:
+    """The canonical-line pattern is a shortcut, never a second decoder:
+    every line decodes as ``json.loads`` plus the type check would, by
+    whichever branch."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(data=st.data(),
+           event=st.one_of(_hwc_events, _truth_events, _clock_events))
+    def test_mutated_lines_decode_as_json_and_the_check(self, data, event):
+        record = _RECORDS[type(event)]
+        line = record.encode(event)
+        # every encoded line is canonical unless a string needs escapes
+        plain = all(_PLAIN.fullmatch(getattr(event, f.name))
+                    for f in fields(event) if f.type == "str")
+        assert bool(record.pattern.fullmatch(line)) == bool(plain)
+        assert bool(record.pattern.fullmatch(line + "\n")) == bool(plain)
+        for _ in range(data.draw(st.integers(1, 3))):
+            line = _mutate(data, line)
+        expected = _reference_values(record.cls, line)
+        if expected is DAMAGED:
+            assert record.pattern.fullmatch(line) is None
+            with pytest.raises(ExperimentCorrupt):
+                record.decode(line)
+            with pytest.raises(ExperimentCorrupt):
+                record.decode_row(line)
+            return
+        assert astuple(record.decode(line)) == expected
+        assert _row_values(record.cls, record.decode_row(line)) == expected
+
+    @pytest.mark.parametrize("line", [
+        '{"pc":-0,"cycle":1,"callstack":[]}',
+        '{"pc":4096,"cycle":1,"callstack":[ ]}',
+        '{"pc":4096, "cycle":1,"callstack":[]}',
+        '{"cycle":1,"pc":4096,"callstack":[]}',
+        '{"pc":4096,"cycle":1,"callstack":[%s]}' % ("9" * 21),
+    ])
+    def test_valid_lines_off_the_canonical_form_take_the_general_path(
+            self, line):
+        assert CLOCK_RECORD.pattern.fullmatch(line) is None
+        event = ClockEvent.from_json(line)
+        assert astuple(event) == _reference_values(ClockEvent, line)
+
+    @pytest.mark.parametrize("line", [
+        '{"pc":4096,"cycle":5,"callstack":[],"foo":1}',
+        '{"pc":4096,"cycle":5,"callstack":""}',
+        '{"pc":4096,"cycle":5,"callstack":{}}',
+        '{"pc":4096,"cycle":5,"callstack":[true]}',
+        '{"pc":4096,"cycle":5}',
+        '{"pc":4096,"cycle":5,"callstack":[]}\x0c',
+        '\ufeff{"pc":4096,"cycle":5,"callstack":[]}',
+        '[4096,5,[]]',
+    ])
+    def test_damaged_clock_lines(self, line):
+        with pytest.raises(ExperimentCorrupt, match="bad clock event"):
+            ClockEvent.from_json(line, "clock.jsonl", 3)
 
 
 class TestDirectoryFormat:

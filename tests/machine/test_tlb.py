@@ -92,6 +92,52 @@ class TestSegmentCache:
         assert tlb.refs == 0 and tlb.misses == 0
         assert tlb.lookup(ARENA_BASE, mem) is False
 
+    def test_alternating_segments_resolve_without_a_scan(self):
+        """A stack/heap alternation (MCF's access pattern) scans the
+        segment map once per segment, and hits and misses as a TLB that
+        resolves every address afresh."""
+        memory = _CountingMemory(1 << 20)
+        memory.add_segment("data", ARENA_BASE, 0x10000, 1024)
+        heap = memory.add_segment("heap", ARENA_BASE + 0x10000, 0x40000, 8192)
+        stack = memory.add_segment("stack", ARENA_BASE + 0x80000, 0x10000, 1024)
+        addresses = [segment.base + (k * 1480) % segment.size
+                     for k in range(120) for segment in (heap, stack)]
+        tlb = make_tlb(entries=4)
+        hits = [tlb.lookup(addr, memory) for addr in addresses]
+        assert memory.calls == 2
+        assert hits == _fresh_lookups(addresses, memory, entries=4)
+        # a third segment is resolved by a scan, and so is the segment it
+        # displaced from the cache
+        tlb.lookup(ARENA_BASE, memory)
+        tlb.lookup(stack.base, memory)
+        tlb.lookup(heap.base, memory)
+        assert memory.calls == 4
+
+
+class _CountingMemory(Memory):
+    """Memory that counts its segment-map scans."""
+
+    calls = 0
+
+    def segment_for(self, addr):
+        self.calls += 1
+        return super().segment_for(addr)
+
+
+def _fresh_lookups(addresses, memory, entries):
+    """Hit (True) or miss per address of an LRU TLB that resolves every
+    address's segment afresh."""
+    lru, hits = {}, []
+    for addr in addresses:
+        segment = Memory.segment_for(memory, addr)
+        key = (segment.seg_id, addr >> segment.page_shift)
+        hits.append(key in lru)
+        lru.pop(key, None)
+        lru[key] = True
+        if len(lru) > entries:
+            del lru[next(iter(lru))]
+    return hits
+
 
 class TestMissRate:
     def test_zero_access_run_reports_zero(self, mem):
