@@ -1,6 +1,6 @@
 """Analysis (`analyzer` / `er_print`): data reduction and reports."""
 
-from .metrics import MetricDef, METRICS, seconds_for
+from .metrics import MetricDef, METRICS
 from .model import ReducedData, DataObjectKey, UNKNOWN_KINDS
 from .oracle import OracleReport, oracle_experiment, oracle_experiments
 from .reduce import reduce_experiment, reduce_experiments
@@ -15,7 +15,6 @@ from . import reports
 __all__ = [
     "MetricDef",
     "METRICS",
-    "seconds_for",
     "ReducedData",
     "DataObjectKey",
     "UNKNOWN_KINDS",

@@ -45,14 +45,6 @@ METRICS: dict[str, MetricDef] = {
 }
 
 
-def seconds_for(metric_id: str, raw_value: float, clock_hz: float) -> float:
-    """Convert a raw (cycle-counting) metric value to seconds."""
-    metric = METRICS[metric_id]
-    if not metric.counts_cycles:
-        raise ValueError(f"metric {metric_id} does not count cycles")
-    return raw_value / clock_hz
-
-
 #: canonical display order of metrics (reduction output, report columns,
 #: and the cached-reduction payload all sort by this)
 METRIC_ORDER = (
@@ -82,4 +74,4 @@ def metric_sort_key(metric_id: str) -> int:
         return len(METRIC_ORDER)
 
 
-__all__ = ["MetricDef", "METRICS", "METRIC_ORDER", "metric_sort_key", "seconds_for"]
+__all__ = ["MetricDef", "METRICS", "METRIC_ORDER", "metric_sort_key"]

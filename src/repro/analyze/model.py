@@ -336,8 +336,7 @@ class ReducedData:
 
     def detach(self) -> "ReducedData":
         """Strip the program image, in place, so a worker process can ship
-        the reduction back to the parent cheaply (mirrors
-        :meth:`repro.collect.experiment.Experiment.detached`)."""
+        the reduction back to the parent cheaply."""
         if self._program is not None:
             self.code_len = len(self._program.code)
         self._program = None

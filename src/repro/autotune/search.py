@@ -227,10 +227,10 @@ class AutotuneSearch:
         return program, heap_page_bytes, unmatched
 
     def _simulate(self, trial_id: int, transforms):
-        """Run the profile passes for one chain.
+        """Run the profile passes for one chain into its trial directories.
 
-        Returns ``(status, cycles, unmatched, experiments, program)``;
-        ``experiments`` is None when the trial is damaged.
+        Returns ``(status, cycles, unmatched)``: the passes report through
+        their :class:`repro.parallel.JobResult` and saved directories.
         """
         program, heap_page_bytes, unmatched = self._build(trial_id, transforms)
         configs = self._pass_configs(trial_id)
@@ -246,29 +246,17 @@ class AutotuneSearch:
                 machine=self.machine,
                 heap_page_bytes=heap_page_bytes,
                 save_to=str(self._trial_dir(trial_id, index)),
-                return_experiment=True,
             )
             for index, config in enumerate(configs)
         ]
         results = collect_many(jobs, parallelism=self.options.jobs)
-        damaged = [
-            result
-            for result in results
-            if not result.ok
-            or result.incomplete
-            or result.experiment is None
-            or result.experiment.incomplete
-        ]
-        if damaged:
+        if any(not result.ok or result.incomplete for result in results):
             # partial DTLB/member data is not ground truth: refuse to score
-            return "damaged", None, unmatched, None, program
-        experiments = [result.experiment for result in results]
-        for experiment in experiments:
-            experiment.program = program  # detached() dropped the image
-        cycles = int(experiments[0].info.totals.get("cycles", 0))
+            return "damaged", None, unmatched
+        cycles = int(results[0].totals.get("cycles", 0))
         if not cycles:
-            return "damaged", None, unmatched, None, program
-        return "ok", cycles, unmatched, experiments, program
+            return "damaged", None, unmatched
+        return "ok", cycles, unmatched
 
     def _trial(self, trial_id: int, transforms, round_no: int) -> dict:
         """Execute (or replay) one trial; returns its journal record."""
@@ -295,9 +283,7 @@ class AutotuneSearch:
             "cycles": None,
         }
         try:
-            status, cycles, unmatched, experiments, _program = self._simulate(
-                trial_id, transforms
-            )
+            status, cycles, unmatched = self._simulate(trial_id, transforms)
             record["status"] = status
             record["cycles"] = cycles
             if unmatched:
@@ -324,31 +310,30 @@ class AutotuneSearch:
     def _reduced_for(self, trial_id: int, transforms):
         """The merged reduction of one completed trial's experiments.
 
-        Prefers the saved trial directories (fast on resume, cached); a
-        missing or damaged directory falls back to re-simulating, which
-        is bit-identical by construction.
+        Reads the saved trial directories (fast on resume, cached); when
+        one is missing or damaged, the trial is re-simulated into them,
+        which is bit-identical by construction, and they are read again.
         """
         passes = len(self.workload.counter_passes)
         directories = [self._trial_dir(trial_id, i) for i in range(passes)]
         if all(d.exists() for d in directories):
             try:
                 reduced = reduce_experiments(
-                    [str(d) for d in directories],
-                    parallelism=self.options.jobs, strict=True,
+                    directories, parallelism=self.options.jobs, strict=True,
                 )
                 if not reduced.incomplete:
                     return reduced
             except ReproError:
                 pass
-        status, _cycles, _unmatched, experiments, _program = self._simulate(
-            trial_id, transforms
-        )
+        status, _cycles, _unmatched = self._simulate(trial_id, transforms)
         if status != "ok":
             raise AutotuneError(
                 f"trial {trial_id} re-profiled damaged; cannot derive "
                 f"candidates from a partial profile"
             )
-        reduced = reduce_experiments(experiments)
+        reduced = reduce_experiments(
+            directories, parallelism=self.options.jobs, strict=True,
+        )
         if reduced.incomplete:
             raise AutotuneError(
                 f"trial {trial_id}: profile is (Incomplete); refusing to "

@@ -15,32 +15,25 @@ workload (``collect.schedule``), ``--schedule plan`` prints that plan
 without running, and ``--multiplex`` folds the passes into one run that
 rotates the counter groups onto the PICs every ``--multiplex-quantum``
 instructions (totals become scaled estimates, flagged in the journal).
+
+Every run, one pass or several, is a job list for
+:func:`repro.parallel.collect_many`; each pass reports through its
+``JobResult`` and the directory it wrote (``-o exp`` writes ``exp.er``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import replace as dataclass_replace
 
 from ..config import scaled_config
-from ..errors import (
-    CollectError,
-    KernelError,
-    MachineError,
-    ReproError,
-    WatchdogExpired,
-)
+from ..errors import ReproError
 from ..faults import FaultPlan
 from ..machine.counters import EVENTS, empty_counter_note
-from ..machine.cpu import ENGINES
-from ..parallel import (
-    CollectJob,
-    build_workload,
-    check_workload,
-    collect_many,
-    counter_events,
-)
-from .collector import CollectConfig, collect
+from ..parallel import CollectJob, check_workload, collect_many
+from .collector import MULTIPLEX_QUANTUM, CollectConfig
 from .schedule import plan_passes
 
 
@@ -117,22 +110,7 @@ def _workload_options(args) -> tuple:
     return trips, args.layout or "baseline"
 
 
-def _warn_empty_counters(events: list, totals: dict) -> None:
-    """One stderr line per requested counter that recorded no event."""
-    for name, interval, recorded in events:
-        if not recorded:
-            print(f"collect: warning: "
-                  f"{empty_counter_note(name, interval, totals)}",
-                  file=sys.stderr)
-
-
-def main(argv=None) -> int:
-    """CLI entry point."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv:
-        print(_list_counters())
-        return 0
-
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro-collect", add_help=False)
     parser.add_argument("-S", dest="periodic", default="off",
                         help="periodic sampling (unsupported; accepts 'off')")
@@ -149,17 +127,15 @@ def main(argv=None) -> int:
                         help="time-multiplex the counter groups within ONE "
                              "run instead of one pass per group; totals "
                              "become scaled estimates")
-    parser.add_argument("--multiplex-quantum", type=int, default=50_000,
+    parser.add_argument("--multiplex-quantum", type=int, default=None,
                         metavar="N",
-                        help="instructions per multiplex rotation")
+                        help="instructions per multiplex rotation "
+                             f"(default {MULTIPLEX_QUANTUM})")
     parser.add_argument("-o", dest="outdir", default="experiment.er",
                         help="experiment directory to write (multi-pass runs "
                              "write <stem>-p<i>.er)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for multi-pass runs")
-    parser.add_argument("--engine", default="fast", choices=ENGINES,
-                        help="interpreter engine (profiles are identical; "
-                             "'reference' is the slow cross-check oracle)")
     parser.add_argument("--workload", default="mcf",
                         choices=["mcf", "commercial"])
     parser.add_argument("--trips", type=int, default=None,
@@ -181,8 +157,50 @@ def main(argv=None) -> int:
                         help="inject deterministic faults, e.g. "
                              "'seed=7,kill_at=120000,drop_trap=0.25'")
     parser.add_argument("--help", action="help")
-    args = parser.parse_args(argv)
+    return parser
 
+
+def _check_multiplex_options(args) -> None:
+    """Refuse, with the collector's own words, multiplexing options it
+    would refuse mid-pass, whether or not the counters need rotating."""
+    if args.multiplex_quantum is not None and args.multiplex_quantum < 1:
+        raise ReproError("multiplex quantum must be positive")
+    if args.multiplex and args.cores > 1:
+        raise ReproError(
+            "counter multiplexing is not supported on multi-core machines "
+            "(cores > 1); run dedicated passes instead"
+        )
+
+
+def _plan(args, counter_sets: list) -> list:
+    """The run's passes as ``(counters, multiplex_groups)`` pairs: one
+    pass per scheduled counter set, one rotating pass under
+    ``--multiplex``, or one counter-less pass when no ``-h`` is given."""
+    requests = [request for counters in counter_sets for request in counters]
+    if args.multiplex and requests:
+        plan = plan_passes(requests, multiplex=True)
+        if plan.multiplexed:
+            return [([], plan.pass_requests())]
+        # everything fits in one pass: nothing to rotate
+        return [(plan.pass_requests()[0], [])]
+    # several -h flags are explicit pass breaks, but each list may still
+    # need splitting on its own
+    passes = [
+        (split, [])
+        for counters in counter_sets
+        for split in plan_passes(counters).pass_requests()
+    ]
+    return passes or [([], [])]
+
+
+def main(argv=None) -> int:
+    """CLI entry point."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if not argv:
+        print(_list_counters())
+        return 0
+
+    args = _parser().parse_args(argv)
     if args.periodic != "off":
         print(
             f"collect: -S {args.periodic} is not supported: periodic "
@@ -191,92 +209,66 @@ def main(argv=None) -> int:
         )
         return 2
 
-    mux_groups: list = []
     try:
         counter_sets = [_parse_counter_list(text) for text in args.counters or []]
-        fault_plan = FaultPlan.parse(args.fault_plan) if args.fault_plan else None
-        requests = [request for counters in counter_sets for request in counters]
+        if args.fault_plan:
+            FaultPlan.parse(args.fault_plan)
+        _check_multiplex_options(args)
         if args.schedule == "plan":
+            requests = [r for counters in counter_sets for r in counters]
             print(plan_passes(requests, multiplex=args.multiplex).describe())
             return 0
-        if args.multiplex and requests:
-            plan = plan_passes(requests, multiplex=True)
-            if plan.multiplexed:
-                mux_groups = plan.pass_requests()
-                counter_sets = []
-            else:
-                # everything fits in one pass: nothing to rotate
-                counter_sets = plan.pass_requests()
-        elif len(counter_sets) == 1:
-            counter_sets = plan_passes(counter_sets[0]).pass_requests()
-        elif counter_sets:
-            # several -h flags are explicit pass breaks, but each list
-            # may still need splitting on its own
-            counter_sets = [
-                split
-                for counters in counter_sets
-                for split in plan_passes(counters).pass_requests()
-            ]
+        passes = _plan(args, counter_sets)
         trips, layout = _workload_options(args)
+        if len(passes) > 1 and args.cores != 1:
+            raise ReproError(
+                "--cores is single-pass only; multi-pass runs use one core"
+            )
+        machine = None
+        if args.cores != 1:
+            machine = dataclass_replace(scaled_config(), cores=args.cores)
     except ReproError as error:
         print(f"collect: {error}", file=sys.stderr)
         return 2
 
-    if len(counter_sets) > 1:
-        if args.cores != 1:
-            print("collect: --cores is single-pass only; multi-pass runs "
-                  "use one core", file=sys.stderr)
-            return 2
-        return _run_passes(args, counter_sets, trips, layout)
-
-    if args.jobs > 1:
+    multiplexed = bool(passes[0][1])  # one pass that rotates its groups
+    if len(passes) == 1 and args.jobs > 1:
         print("collect: --jobs has no effect on a single-pass run",
               file=sys.stderr)
+    if args.multiplex and not multiplexed:
+        print("collect: --multiplex has no effect: the counters fit in "
+              "one pass", file=sys.stderr)
+    if args.multiplex_quantum is not None and not multiplexed:
+        print("collect: --multiplex-quantum has no effect on a run that "
+              "is not multiplexed", file=sys.stderr)
 
-    program, input_longs = build_workload(
-        args.workload, trips, args.seed, layout
-    )
-    machine_config = scaled_config()
-    if args.cores != 1:
-        from dataclasses import replace as dataclass_replace
-
-        machine_config = dataclass_replace(machine_config, cores=args.cores)
-    config = CollectConfig(
-        clock_profiling=args.clock == "on",
-        counters=counter_sets[0] if counter_sets else [],
-        multiplex_groups=mux_groups,
-        multiplex_quantum=args.multiplex_quantum,
-        name=args.outdir,
-        watchdog_cycles=args.watchdog_cycles,
-        watchdog_instructions=args.watchdog_instructions,
-        engine=args.engine,
-    )
-    try:
-        experiment = collect(
-            program,
-            machine_config,
-            config,
-            input_longs=input_longs,
+    outdirs = (pass_outdirs(args.outdir, len(passes)) if len(passes) > 1
+               else [args.outdir])
+    jobs = [
+        CollectJob(
+            config=CollectConfig(
+                # clock profiling rides on pass 0 only, so a merged
+                # profile counts each tick once
+                clock_profiling=args.clock == "on" and index == 0,
+                counters=counters,
+                multiplex_groups=groups,
+                multiplex_quantum=args.multiplex_quantum or MULTIPLEX_QUANTUM,
+                name=outdir,
+                watchdog_cycles=args.watchdog_cycles,
+                watchdog_instructions=args.watchdog_instructions,
+            ),
+            workload=args.workload,
+            trips=trips,
+            seed=args.seed,
+            layout=layout,
+            machine=machine,
             heap_page_bytes=args.heap_page_bytes,
-            save_to=args.outdir,
-            fault_plan=fault_plan,
+            save_to=outdir,
+            fault_plan=args.fault_plan,
         )
-    except (MachineError, KernelError, WatchdogExpired) as error:
-        print(f"collect: run died: {error}", file=sys.stderr)
-        print(f"partial experiment written: {args.outdir}", file=sys.stderr)
-        print(f"  (inspect with: repro-erprint {args.outdir} fsck)", file=sys.stderr)
-        return 3
-    except CollectError as error:
-        # bad configuration caught before the run started (the scheduler
-        # validates counters earlier; this guards e.g. --multiplex-quantum)
-        print(f"collect: {error}", file=sys.stderr)
-        return 2
-    print(f"experiment written: {args.outdir}")
-    print(f"  {len(experiment.hwc_events)} HW counter events, "
-          f"{len(experiment.clock_events)} clock ticks")
-    print(f"  target exit code {experiment.info.exit_code}")
-    _warn_empty_counters(counter_events(experiment), experiment.info.totals)
-    return 0
+        for index, ((counters, groups), outdir) in enumerate(zip(passes, outdirs))
+    ]
+    return _run_passes(jobs, args.jobs)
 
 
 def pass_outdirs(outdir: str, count: int) -> list[str]:
@@ -285,44 +277,26 @@ def pass_outdirs(outdir: str, count: int) -> list[str]:
     return [f"{stem}-p{index}.er" for index in range(count)]
 
 
-def _run_passes(args, counter_sets, trips: int, layout: str) -> int:
-    """Several ``-h`` flags: one collect pass each, fanned out over
-    ``--jobs`` worker processes; clock profiling rides on pass 0 only so
-    the merged profile counts each tick once."""
-    outdirs = pass_outdirs(args.outdir, len(counter_sets))
-    jobs = [
-        CollectJob(
-            config=CollectConfig(
-                clock_profiling=args.clock == "on" and index == 0,
-                counters=requests,
-                name=outdir,
-                watchdog_cycles=args.watchdog_cycles,
-                watchdog_instructions=args.watchdog_instructions,
-                engine=args.engine,
-            ),
-            workload=args.workload,
-            trips=trips,
-            seed=args.seed,
-            layout=layout,
-            heap_page_bytes=args.heap_page_bytes,
-            save_to=outdir,
-            fault_plan=args.fault_plan,
-        )
-        for index, (requests, outdir) in enumerate(zip(counter_sets, outdirs))
-    ]
-    results = collect_many(jobs, parallelism=args.jobs)
+def _run_passes(jobs: list, parallelism: int) -> int:
+    """Run the passes over up to ``parallelism`` worker processes and
+    report each from its :class:`JobResult`: exit 3 when any pass died
+    (its partial directory, if it got one, is named for ``fsck``)."""
     failed = 0
-    for result in results:
+    for result in collect_many(jobs, parallelism=parallelism):
         if result.ok:
             print(f"experiment written: {result.outdir}")
             print(f"  {result.hwc_events} HW counter events, "
                   f"{result.clock_events} clock ticks")
             print(f"  target exit code {result.exit_code}")
-            _warn_empty_counters(result.counter_events, result.totals)
-        else:
-            failed += 1
-            print(f"collect: pass {result.index} died: {result.error}",
-                  file=sys.stderr)
+            for name, interval, recorded in result.counter_events:
+                if not recorded:
+                    note = empty_counter_note(name, interval, result.totals)
+                    print(f"collect: warning: {note}", file=sys.stderr)
+            continue
+        failed += 1
+        print(f"collect: pass {result.index} died: {result.error}",
+              file=sys.stderr)
+        if os.path.isdir(result.outdir):
             print(f"partial experiment written: {result.outdir}",
                   file=sys.stderr)
             print(f"  (inspect with: repro-erprint {result.outdir} fsck)",

@@ -32,7 +32,7 @@ from ..machine.counters import CounterSnapshot, CounterSpec
 from ..machine.cpu import ENGINES
 from .backtrack import apropos_backtrack
 from .experiment import ClockEvent, Experiment, HwcEvent, TruthEvent
-from .schedule import assign_registers
+from .schedule import assign_registers, check_multiplexed_events
 
 #: failures the collector survives by finalizing a partial experiment:
 #: simulated-program faults (MemoryFault, SimulatedCrash, ...), kernel
@@ -41,6 +41,9 @@ RECOVERABLE_FAULTS = (MachineError, KernelError, CollectError, KeyboardInterrupt
 
 #: default clock-profiling tick, in cycles (prime, as the paper prescribes)
 CLOCK_INTERVAL_CYCLES = {"hi": 4999, "on": 20011, "lo": 200003}
+
+#: default multiplex rotation quantum, in retired instructions
+MULTIPLEX_QUANTUM = 50_000
 
 
 @dataclass
@@ -52,9 +55,8 @@ class CollectConfig:
     #: counter requests like "+ecstall,lo" (the + requests backtracking)
     counters: Sequence[str] = field(default_factory=tuple)
     name: str = "experiment"
-    max_instructions: Optional[int] = None
-    #: loud runaway-run deadlines (WatchdogExpired), unlike the graceful
-    #: ``max_instructions`` budget
+    #: runaway-run deadlines: past either, the run dies with
+    #: WatchdogExpired and leaves a partial experiment
     watchdog_cycles: Optional[int] = None
     watchdog_instructions: Optional[int] = None
     #: interpreter engine, one of ``machine.cpu.ENGINES``: "fast"
@@ -71,7 +73,7 @@ class CollectConfig:
     #: on every engine.
     multiplex_groups: Sequence[Sequence[str]] = field(default_factory=tuple)
     #: rotation quantum in retired instructions
-    multiplex_quantum: int = 50_000
+    multiplex_quantum: int = MULTIPLEX_QUANTUM
 
     def resolve_clock_interval(self) -> int:
         """Map hi/on/lo (or cycles) to a tick interval."""
@@ -162,11 +164,7 @@ class Collector:
             if collect_config.multiplex_quantum <= 0:
                 raise CollectError("multiplex quantum must be positive")
             self.specs = [s for specs in self._groups for s in specs]
-            names = [spec.event.name for spec in self.specs]
-            if len(set(names)) != len(names):
-                raise CollectError(
-                    "multiplexed counter groups repeat an event"
-                )
+            check_multiplexed_events([spec.event.name for spec in self.specs])
         else:
             self.specs = parse_counter_requests(collect_config.counters)
         #: each sample represents len(groups) times its weight when the
@@ -335,7 +333,6 @@ class Collector:
                 exit_code = self._run_multiplexed()
             else:
                 exit_code = self.process.run(
-                    max_instructions=self.config.max_instructions,
                     max_cycles=self.config.watchdog_cycles,
                     watchdog_instructions=self.config.watchdog_instructions,
                 )
@@ -372,13 +369,6 @@ class Collector:
         dropped = 0
         exit_code = 0
         while not cpu.halted:
-            if self.config.max_instructions is not None:
-                left = self.config.max_instructions - cpu.instr_count
-                if left <= 0:
-                    break
-                chunk = min(quantum, left)
-            else:
-                chunk = quantum
             group = rotation % ngroups
             specs = self._groups[group]
             self._spec_by_register = {spec.register: spec for spec in specs}
@@ -386,7 +376,7 @@ class Collector:
             if states[group] is not None:
                 counters.restore_state(states[group])
             exit_code = process.run(
-                max_instructions=chunk,
+                max_instructions=quantum,
                 max_cycles=self.config.watchdog_cycles,
                 watchdog_instructions=self.config.watchdog_instructions,
             )

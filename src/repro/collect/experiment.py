@@ -74,7 +74,9 @@ OPTIONAL_FILES = ("log.txt", "map.txt", "truth.jsonl")
 
 # ---------------------------------------------------------------- helpers
 
-def _normalize_dir(directory) -> Path:
+def experiment_dir(directory) -> Path:
+    """The directory an experiment saved to ``directory`` lands in: the
+    path with its suffix replaced by ``.er`` (``run.v2`` -> ``run.er``)."""
     path = Path(directory)
     if path.suffix != ".er":
         path = path.with_suffix(".er")
@@ -525,8 +527,6 @@ class Experiment:
         self._journal_dir: Optional[Path] = None
         self._streams: dict[str, object] = {}
         self._unflushed = 0
-        #: a journaled run's truth.jsonl; outlives detached()
-        self._truth_file: Optional[Path] = None
         # streaming-read state (events left on disk by open_streaming)
         self._stream_dir: Optional[Path] = None
         self._stream_strict = False
@@ -644,11 +644,10 @@ class Experiment:
         if self._stream_dir is not None:
             truth_file = self._stream_dir / "truth.jsonl"
             strict, salvage = self._stream_strict, self.salvage
-        elif self._truth_file is not None:
-            truth_file, strict, salvage = self._truth_file, True, SalvageReport()
-            stream = self._streams.get(truth_file.name)
-            if stream is not None:
-                stream.flush()
+        elif self._journal_dir is not None:
+            self.flush_journal()
+            truth_file = self._journal_dir / "truth.jsonl"
+            strict, salvage = True, SalvageReport()
         else:
             yield from self.truth_events
             return
@@ -668,7 +667,7 @@ class Experiment:
         """
         if self.program is None:
             raise ExperimentError("cannot journal without a program image")
-        path = _normalize_dir(directory)
+        path = experiment_dir(directory)
         path.mkdir(parents=True, exist_ok=True)
         # drop stale event data from a previous run into the same directory
         # (including any reduction cache an analysis of the old data left)
@@ -678,7 +677,6 @@ class Experiment:
             elif stale.name == MANIFEST_NAME or stale.suffix in (".jsonl", ".tmp"):
                 stale.unlink()
         self._journal_dir = path
-        self._truth_file = path / "truth.jsonl"
         self._write_program(path)
         provisional = asdict(self.info)
         provisional["incomplete"] = True
@@ -713,26 +711,6 @@ class Experiment:
             stream.flush()
         self._unflushed = 0
 
-    def _close_journal_streams(self) -> None:
-        for stream in self._streams.values():
-            stream.close()
-        self._streams = {}
-        self._unflushed = 0
-
-    def detached(self) -> "Experiment":
-        """Strip the program image and journal handles, in place.
-
-        Open file streams and the (potentially large) program image do not
-        survive pickling; a worker process calls this before returning an
-        experiment to the parent, which re-attaches the shared program.
-        A journaled experiment's truth rows stay readable from its
-        ``truth.jsonl``.
-        """
-        self._close_journal_streams()
-        self._journal_dir = None
-        self.program = None
-        return self
-
     # ---------------------------------------------------------------- save
 
     def save(self, directory=None) -> Path:
@@ -752,7 +730,7 @@ class Experiment:
                 raise ExperimentError("save: no directory given and no journal")
             path = self._journal_dir
         else:
-            path = _normalize_dir(directory)
+            path = experiment_dir(directory)
         if self._journal_dir is not None and path == self._journal_dir:
             return self._finalize_journal()
 
@@ -773,7 +751,9 @@ class Experiment:
         path = self._journal_dir
         assert path is not None
         self.flush_journal()
-        self._close_journal_streams()
+        for stream in self._streams.values():
+            stream.close()
+        self._streams = {}
         # parity with the full-write layout: clock.jsonl always exists
         (path / "clock.jsonl").touch()
         # program.pkl was written by start_journal and the image does not

@@ -94,6 +94,16 @@ def assign_registers(requests: Sequence[str]) -> list[CounterSpec]:
     return [spec for spec in out if spec is not None]
 
 
+def check_multiplexed_events(names: Sequence[str]) -> None:
+    """Refuse multiplexed counter groups that repeat an event: a
+    multiplexed run scales each sample by the group count, so an event
+    live in two groups would be counted twice.  The plan and the
+    collector both call this, so a plan that prints is a plan that runs.
+    """
+    if len(set(names)) != len(names):
+        raise CollectError("multiplexed counter groups repeat an event")
+
+
 @dataclass(frozen=True)
 class Assignment:
     """One counter request placed on a PIC register within a pass."""
@@ -186,7 +196,13 @@ def plan_passes(requests: Sequence[str], multiplex: bool = False) -> PassPlan:
             Assignment(requests[j], names[j], spec.register)
             for j, spec in zip(members, specs)
         ))
-    return PassPlan(tuple(passes), multiplexed=multiplex and len(passes) > 1)
+    multiplexed = multiplex and len(passes) > 1
+    if multiplexed:
+        check_multiplexed_events(names)
+    return PassPlan(tuple(passes), multiplexed=multiplexed)
 
 
-__all__ = ["Assignment", "PassPlan", "assign_registers", "plan_passes"]
+__all__ = [
+    "Assignment", "PassPlan", "assign_registers", "check_multiplexed_events",
+    "plan_passes",
+]

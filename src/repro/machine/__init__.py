@@ -11,7 +11,7 @@ from .counters import (
     EventSpec,
     overflow_interval,
 )
-from .cpu import CPU, CpuExit
+from .cpu import CPU
 from .machine import Machine
 
 __all__ = [
@@ -26,6 +26,5 @@ __all__ = [
     "EventSpec",
     "overflow_interval",
     "CPU",
-    "CpuExit",
     "Machine",
 ]

@@ -104,10 +104,6 @@ TRAP_CYCLES = 40
 ENGINES = ("fast", "reference")
 
 
-class CpuExit(MachineError):
-    """Raised internally when the instruction budget is exhausted."""
-
-
 class CPU:
     """Execution engine bound to one machine's memory system."""
 
@@ -1173,4 +1169,4 @@ class CPU:
         return instr_count - start_count
 
 
-__all__ = ["CPU", "CpuExit", "ENGINES", "TRAP_CYCLES"]
+__all__ = ["CPU", "ENGINES", "TRAP_CYCLES"]

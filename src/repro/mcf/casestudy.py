@@ -79,14 +79,8 @@ def run_case_study(
     variant: LayoutVariant = LayoutVariant.BASELINE,
     heap_page_bytes: Optional[int] = None,
     use_cache: bool = True,
-    jobs: int = 1,
 ) -> CaseStudy:
-    """Run both experiments and the merged reduction.
-
-    ``jobs > 1`` runs the two collect passes in worker processes via
-    :func:`repro.parallel.collect_many`; each pass is an independent
-    simulation, so the result is identical to the sequential run.
-    """
+    """Run both experiments and the merged reduction."""
     instance = instance or default_instance()
     config = config or scaled_config()
     key = (
@@ -116,41 +110,14 @@ def run_case_study(
     config2 = CollectConfig(
         clock_profiling=False, counters=counters2, name="mcf-exp2",
     )
-    if jobs > 1:
-        from ..errors import CollectError
-        from ..parallel import CollectJob, collect_many
-
-        passes = [
-            CollectJob(
-                config=pass_config,
-                program=program,
-                input_longs=input_longs,
-                machine=config,
-                heap_page_bytes=heap_page_bytes,
-                return_experiment=True,
-            )
-            for pass_config in (config1, config2)
-        ]
-        results = collect_many(passes, parallelism=jobs)
-        for result in results:
-            if not result.ok:
-                raise CollectError(
-                    f"case-study pass {result.name!r} died: {result.error}"
-                )
-        experiment1, experiment2 = (r.experiment for r in results)
-        # detached() dropped the program image to keep the shipped result
-        # small; the reduction needs it back
-        experiment1.program = program
-        experiment2.program = program
-    else:
-        experiment1 = collect(
-            program, config, config1,
-            input_longs=input_longs, heap_page_bytes=heap_page_bytes,
-        )
-        experiment2 = collect(
-            program, config, config2,
-            input_longs=input_longs, heap_page_bytes=heap_page_bytes,
-        )
+    experiment1 = collect(
+        program, config, config1,
+        input_longs=input_longs, heap_page_bytes=heap_page_bytes,
+    )
+    experiment2 = collect(
+        program, config, config2,
+        input_longs=input_longs, heap_page_bytes=heap_page_bytes,
+    )
     reduced = reduce_experiments([experiment1, experiment2])
     result = CaseStudy(instance, experiment1, experiment2, reduced)
     if use_cache:

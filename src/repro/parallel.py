@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .collect.collector import RECOVERABLE_FAULTS, CollectConfig, collect
-from .collect.experiment import Experiment
+from .collect.experiment import Experiment, experiment_dir
 from .config import MachineConfig, scaled_config
 from .errors import ReproError, WorkloadError
 
@@ -50,29 +50,27 @@ class CollectJob:
     save_to: Optional[str] = None
     #: fault-injection spec for FaultPlan.parse, e.g. "seed=7,kill_at=5000"
     fault_plan: Optional[str] = None
-    #: ship the (detached) experiment back to the parent process
-    return_experiment: bool = False
 
 
 @dataclass
 class JobResult:
-    """Outcome of one pass, picklable and small unless an experiment was
-    requested back."""
+    """Outcome of one pass, picklable and small: the events themselves
+    stay in the pass's saved directory."""
 
     index: int
     name: str
+    #: the experiment directory the pass writes (``save_to`` with its
+    #: ``.er`` suffix), None for an in-memory pass
     outdir: Optional[str] = None
     hwc_events: int = 0
     clock_events: int = 0
     exit_code: int = 0
     incomplete: bool = False
-    fault: str = ""
     #: non-empty when the pass died (partial experiment may still exist)
     error: str = ""
     #: ``counter_events(experiment)`` and the run's machine totals
     counter_events: list = field(default_factory=list)
     totals: dict = field(default_factory=dict)
-    experiment: Optional[Experiment] = None
 
     @property
     def ok(self) -> bool:
@@ -122,7 +120,9 @@ def counter_events(experiment: Experiment) -> list:
 
 def run_job(job: CollectJob, index: int = 0) -> JobResult:
     """Execute one pass (in whatever process this is called from)."""
-    result = JobResult(index=index, name=job.config.name, outdir=job.save_to)
+    result = JobResult(index=index, name=job.config.name)
+    if job.save_to is not None:
+        result.outdir = str(experiment_dir(job.save_to))
     try:
         fault_plan = None
         if job.fault_plan:
@@ -152,11 +152,8 @@ def run_job(job: CollectJob, index: int = 0) -> JobResult:
     result.clock_events = len(experiment.clock_events)
     result.exit_code = experiment.info.exit_code
     result.incomplete = experiment.incomplete
-    result.fault = experiment.info.fault
     result.counter_events = counter_events(experiment)
     result.totals = dict(experiment.info.totals)
-    if job.return_experiment:
-        result.experiment = experiment.detached()
     return result
 
 

@@ -7,6 +7,8 @@ wins, damaged-profile refusal, and the crash-safe journal recovering a
 killed search to the same winner chain, byte for byte.
 """
 
+import shutil
+
 import pytest
 
 from repro.autotune.journal import SearchJournal
@@ -121,6 +123,28 @@ class TestKillAndResume:
         assert (outdir / "journal.jsonl").read_bytes() == full
         assert resumed.chain == full_result.chain
         assert resumed.best_cycles == full_result.best_cycles
+
+    def test_resume_re_simulates_lost_trial_directories(
+        self, full_search, tmp_path
+    ):
+        """A resumed search whose best trial lost its saved directories
+        re-profiles that trial into them, reduces them again, and still
+        appends exactly what the uninterrupted search wrote."""
+        _full_result, full_journal = full_search
+        outdir = tmp_path / "lost"
+        AutotuneSearch(outdir, _workload(),
+                       machine=make_machine("tight"),
+                       options=_options(budget=3)).run()
+        lost = [outdir / "trials" / f"t0000-p{index}.er" for index in (0, 1)]
+        for directory in lost:
+            shutil.rmtree(directory)
+        resumed = AutotuneSearch(outdir, _workload(),
+                                 machine=make_machine("tight"),
+                                 options=_options()).run()
+        assert resumed.complete
+        assert (outdir / "journal.jsonl").read_bytes() == \
+            full_journal.path.read_bytes()
+        assert all((directory / "manifest.json").exists() for directory in lost)
 
     def test_resume_after_torn_journal_tail(self, full_search, tmp_path):
         """A kill mid-append leaves a torn line; resume truncates it and

@@ -1,8 +1,13 @@
 """Tests for the repro-collect CLI."""
 
+import io
+import json
+import shutil
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
 
-from repro.collect.cli import _parse_counter_list, main
+from repro.collect.cli import _parse_counter_list, _parser, main
 from repro.errors import ReproError
 
 
@@ -89,11 +94,14 @@ class TestMain:
         assert not any(tmp_path.iterdir())
 
     def test_unknown_engine_rejected(self, tmp_path, capsys):
+        # the engines journal identical bytes, so the command line has no
+        # engine to pick; tests select the reference oracle through
+        # CollectConfig(engine=...)
         with pytest.raises(SystemExit) as exited:
-            main(["--engine", "trace", "-o", str(tmp_path / "eng"),
+            main(["--engine", "fast", "-o", str(tmp_path / "eng"),
                   "--workload", "mcf", "--trips", "10"])
         assert exited.value.code == 2
-        assert "invalid choice: 'trace'" in capsys.readouterr().err
+        assert "unrecognized arguments: --engine fast" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_clock_off(self, tmp_path, capsys):
@@ -159,6 +167,13 @@ class TestWorkloadOptions:
         (["-h", "+ecrm,29", "-h", "+dtlbm,11", "--workload", "commercial",
           "--layout", "baseline"],
          "does not take --layout"),
+        (["--multiplex-quantum", "0", "--trips", "4"],
+         "multiplex quantum must be positive"),
+        (["--multiplex", "--cores", "2", "-h", "+ecstall,97,+ecrm,29",
+          "--trips", "4"],
+         "counter multiplexing is not supported on multi-core machines"),
+        (["--multiplex", "-h", "ecrm,on,ecrm,lo,dtlbm,on", "--trips", "4"],
+         "multiplexed counter groups repeat an event"),
     ])
     def test_refused(self, tmp_path, capsys, argv, message):
         assert main(argv + ["-o", str(tmp_path / "exp")]) == 2
@@ -198,3 +213,86 @@ class TestEmptyCounterWarnings:
                      "-h", "+ecref,5,+dtlbm,2", "-o", str(tmp_path / "f"),
                      "--workload", "mcf", "--trips", "15"]) == 0
         assert self.warnings(capsys.readouterr().err) == []
+
+
+MCF = ["--workload", "mcf", "--trips", "4"]
+COUNTERS = ["-h", "+ecstall,97,+ecrm,29"]
+
+#: option -> (a run with it at a non-default value, the same run without)
+OPTION_ROWS = {
+    "-S": ([*MCF, "-S", "on"], MCF),
+    "-p": ([*MCF, "-p", "off"], MCF),
+    "-h": ([*MCF, *COUNTERS], MCF),
+    "--schedule": ([*MCF, *COUNTERS, "--schedule", "plan"], [*MCF, *COUNTERS]),
+    "--multiplex": ([*MCF, *COUNTERS, "--multiplex"], [*MCF, *COUNTERS]),
+    "--multiplex-quantum": ([*MCF, "--multiplex-quantum", "777"], MCF),
+    "--jobs": ([*MCF, "--jobs", "2"], MCF),
+    "--workload": (["--workload", "commercial"], MCF),
+    "--trips": (["--workload", "mcf", "--trips", "5"], MCF),
+    "--seed": ([*MCF, "--seed", "2"], MCF),
+    "--layout": ([*MCF, "--layout", "opt_layout"], MCF),
+    "--cores": ([*MCF, "--cores", "2"], MCF),
+    "--heap-page-bytes": ([*MCF, "--heap-page-bytes", "65536"], MCF),
+    "--watchdog-cycles": ([*MCF, "--watchdog-cycles", "1000"], MCF),
+    "--watchdog-instructions": ([*MCF, "--watchdog-instructions", "1000"],
+                                MCF),
+    "--fault-plan": ([*MCF, "--fault-plan", "seed=7,kill_at=1000"], MCF),
+}
+
+
+def _options() -> list:
+    """Every option of the parser except ``-o`` and ``--help``."""
+    return [action.option_strings[0] for action in _parser()._actions
+            if action.option_strings[0] not in ("-o", "--help")]
+
+
+@pytest.fixture(scope="module")
+def outcome(tmp_path_factory):
+    """Run ``repro-collect argv -o <dir>/exp`` (memoized per argv) and
+    return its exit code, stdout, stderr and the bytes of every file it
+    wrote.  Every run writes the same path, so the directory name in the
+    output and in ``config_name`` is the same for all of them; only
+    ``log.txt`` (wall-clock stamps) and its manifest entry are left out.
+    """
+    root = tmp_path_factory.mktemp("effects")
+    runs = {}
+
+    def run(argv):
+        if tuple(argv) not in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([*argv, "-o", str(root / "exp")])
+            files = {}
+            for path in sorted(root.rglob("*")):
+                if not path.is_file() or path.name == "log.txt":
+                    continue
+                data = path.read_bytes()
+                if path.name == "manifest.json":
+                    manifest = json.loads(data)
+                    manifest["files"].pop("log.txt", None)
+                    data = json.dumps(manifest, sort_keys=True).encode()
+                files[str(path.relative_to(root))] = data
+            runs[tuple(argv)] = (code, out.getvalue(), err.getvalue(), files)
+            shutil.rmtree(root)
+            root.mkdir()
+        return runs[tuple(argv)]
+
+    return run
+
+
+class TestOptionEffects:
+    """Each option of ``repro-collect`` changes what a run does: its exit
+    code, its output (a warning on stderr counts) or a byte of the
+    directory it writes.  The rows are keyed by the parser's own option
+    list, so an option added without a row fails here."""
+
+    @pytest.mark.parametrize("option", _options())
+    def test_option_changes_the_run(self, outcome, option):
+        with_option, without = OPTION_ROWS[option]
+        assert outcome(with_option) != outcome(without), (
+            f"{option} changed nothing: no exit code, output or file "
+            f"differs from the run without it"
+        )
+
+    def test_every_row_is_an_option(self):
+        assert set(OPTION_ROWS) == set(_options())

@@ -150,13 +150,6 @@ class TestCollection:
 
 
 class TestBudgetAndStack:
-    def test_collect_max_instructions_budget(self, program):
-        cfg = CollectConfig(clock_profiling=True, clock_interval=499,
-                            counters=[], max_instructions=5_000)
-        exp = collect(program, tiny_config(), cfg)
-        assert exp.info.instructions == 5_000
-        assert exp.info.exit_code == 0  # did not reach exit; default code
-
     def test_custom_stack_size(self, program):
         from repro.kernel.loader import load_program
 

@@ -78,16 +78,6 @@ class TestCollectMany:
         assert result.incomplete
         assert "CollectError" in result.error
 
-    def test_experiment_shipped_back_when_requested(self):
-        job = _mcf_job(
-            ["+ecstall,97", "+ecrm,29"], "ship", return_experiment=True
-        )
-        [result] = collect_many([job], parallelism=1)
-        assert result.experiment is not None
-        assert len(result.experiment.hwc_events) == result.hwc_events
-        # detached: no program image, no journal handles
-        assert result.experiment.program is None
-
 
 def _die_once_then_square(task):
     """Kill the worker process the first time each item is seen.
@@ -159,23 +149,6 @@ class TestWorkerDeathResubmission:
         # code the final attempt uses for still-pending items
         assert parallel_map(local_only, [1, 2], parallelism=1) == [2, 3]
         assert calls == [1, 2]
-
-
-class TestCaseStudyJobs:
-    def test_jobs_2_matches_sequential(self):
-        from repro.mcf.casestudy import default_instance, run_case_study
-
-        instance = default_instance(trips=30, seed=5)
-        sequential = run_case_study(instance=instance, use_cache=False)
-        parallel = run_case_study(instance=instance, use_cache=False, jobs=2)
-        assert dict(sequential.reduced.total) == dict(parallel.reduced.total)
-        assert [
-            (e.event, e.weight, e.trap_pc, e.cycle)
-            for e in sequential.experiment2.hwc_events
-        ] == [
-            (e.event, e.weight, e.trap_pc, e.cycle)
-            for e in parallel.experiment2.hwc_events
-        ]
 
 
 class TestCliMultiPass:

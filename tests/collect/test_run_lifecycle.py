@@ -5,12 +5,11 @@ experiment: with the cyclic garbage collector disabled, the run's
 ``Process`` and its ``Memory`` arena die by reference counting as soon
 as the caller drops the result.  A journaled run keeps its truth rows
 only in ``truth.jsonl``; ``iter_truth_events()`` reads them back from
-there, wherever the experiment travels.
+there.
 """
 
 import dataclasses
 import gc
-import pickle
 import weakref
 
 import pytest
@@ -22,7 +21,6 @@ from repro.collect.collector import CollectConfig, collect
 from repro.collect.experiment import Experiment, TruthEvent
 from repro.errors import SimulatedCrash
 from repro.faults import FaultPlan
-from repro.parallel import CollectJob, collect_many
 from tests.conftest import THREADED_MCF_SRC
 
 SRC = """
@@ -167,19 +165,6 @@ class TestTruthRowsOnDisk:
         copy = experiment.save(tmp_path / "copy")
         assert ((copy / "truth.jsonl").read_bytes()
                 == (directory / "truth.jsonl").read_bytes())
-
-    def test_detached_experiment_from_collect_many(self, program, tmp_path):
-        target = tmp_path / "job.er"
-        job = CollectJob(config=_config(), program=program,
-                         machine=tiny_config(), save_to=str(target),
-                         return_experiment=True)
-        [result] = collect_many([job], parallelism=1)
-        # the experiment crosses a process boundary as a pickle
-        shipped = pickle.loads(pickle.dumps(result.experiment))
-        assert shipped.truth_events == []
-        rows = list(shipped.iter_truth_events())
-        assert rows
-        assert rows == list(Experiment.open(target).iter_truth_events())
 
     def test_in_memory_collect_keeps_rows(self, program):
         experiment = collect(program, tiny_config(), _config())

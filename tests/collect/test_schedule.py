@@ -10,8 +10,11 @@ import json
 import pytest
 
 from repro.collect.cli import main
+from repro.collect.collector import CollectConfig, collect
 from repro.collect.schedule import assign_registers, plan_passes
+from repro.config import scaled_config
 from repro.errors import CollectError
+from repro.parallel import build_workload
 
 
 class TestAssignRegisters:
@@ -73,6 +76,14 @@ class TestPlanPasses:
     def test_pass_zero_carries_first_request(self):
         plan = plan_passes(["+ecstall,on", "+ecrm,on", "ecref,on"])
         assert plan.passes[0][0].request == "+ecstall,on"
+
+    def test_multiplexed_plan_refuses_a_repeated_event(self):
+        # dedicated passes may repeat an event; one multiplexed run may
+        # not, so the plan refuses what the run would refuse
+        requests = ["ecrm,on", "ecrm,lo", "dtlbm,on"]
+        assert len(plan_passes(requests).passes) == 3
+        with pytest.raises(CollectError, match="repeat an event"):
+            plan_passes(requests, multiplex=True)
 
     def test_multiplexed_only_when_needed(self):
         one = plan_passes(["cycles,on", "insts,on"], multiplex=True)
@@ -182,19 +193,23 @@ class TestMultiplexing:
         assert "estimates scaled x2" in out
 
     def test_multiplexed_journals_engine_identical(self, tmp_path):
-        argv = [
-            "--multiplex", "-h", "+dcrm,17,insts,on",
-            "--multiplex-quantum", "2000",
-            "--workload", "mcf", "--trips", "20",
-        ]
+        program, input_longs = build_workload("mcf", 20, 1, "baseline")
         for engine, name in (("fast", "a.er"), ("reference", "b.er")):
-            assert main([
-                *argv, "--engine", engine, "-o", str(tmp_path / name),
-            ]) == 0
+            config = CollectConfig(
+                engine=engine,
+                multiplex_groups=[["+dcrm,17"], ["insts,on"]],
+                multiplex_quantum=2000,
+                name=name,
+            )
+            collect(program, scaled_config(), config,
+                    input_longs=input_longs, save_to=tmp_path / name)
         for journal in ("hwc0.jsonl", "truth.jsonl", "clock.jsonl"):
             a = (tmp_path / "a.er" / journal).read_text()
             b = (tmp_path / "b.er" / journal).read_text()
             assert a == b, f"{journal} differs between engines"
+        # both groups took turns on PIC0
+        hwc = (tmp_path / "a.er" / "hwc0.jsonl").read_text().splitlines()
+        assert {json.loads(line)["event"] for line in hwc} == {"dcrm", "insts"}
 
     def test_reduction_scales_multiplexed_weights(self, tmp_path, capsys):
         # the same counters, dedicated vs multiplexed: the multiplexed
